@@ -89,20 +89,17 @@ def antisymmetric_product(f: np.ndarray, g: np.ndarray, nbits: int) -> np.ndarra
     return result
 
 
-@lru_cache(maxsize=None)
-def submask_lists(nbits: int) -> tuple[tuple[int, ...], ...]:
-    """For every mask, the tuple of its submasks (ascending)."""
-    result = []
-    for m in range(1 << nbits):
-        subs = []
-        s = m
-        while True:
-            subs.append(s)
-            if s == 0:
-                break
-            s = (s - 1) & m
-        result.append(tuple(sorted(subs)))
-    return tuple(result)
+def left_multiplication(g: np.ndarray, nbits: int) -> np.ndarray:
+    """Dense matrix of F -> g ^ F over the subset basis.
+
+    Every (out, right) pair occurs once in the wedge table, so plain
+    assignment fills the matrix.  Its transpose is the contraction
+    e_M -> sum_{K u L = M} (-1)^tau(K, L) g[K] e_L.
+    """
+    left, right, out, sign = wedge_table(nbits)
+    m = np.zeros((1 << nbits, 1 << nbits), dtype=complex)
+    m[out, right] = sign * g[left]
+    return m
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -116,10 +113,3 @@ def mask_indices(mask: int) -> list[int]:
         k += 1
     return out
 
-
-def indices_mask(indices) -> int:
-    """Bitmask from an iterable of bit positions."""
-    m = 0
-    for k in indices:
-        m |= 1 << k
-    return m

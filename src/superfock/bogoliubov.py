@@ -1,18 +1,26 @@
 """Unitary Fock-space implementers of orthogonal transformations.
 
-For R(U, V) with invertible U the implementer is built column by column from
-the pullback of the coherent-vector ansatz: with X = V conj(U)^-1,
-Y = conj(U)^-1 conj(V) (both skew) and c_X = det(I + X^dag X)^(-1/4),
+For R(U, V) with invertible U, X = V conj(U)^-1 and Y = conj(U)^-1 conj(V)
+are skew, and the implementer is Berezin's normal-ordered product
 
-    T(R) e_M = c_X  sum_{K u L = M, disjoint}  (-1)^tau(K, L)
-               Pf(Y_K) (U^{dag -1} e)_L ^ exp Omega(X),
+    T(R) = c_X  L(exp Omega(X))  Gamma(U^{dag -1})  C(Y),
+    c_X = det(I + X^dag X)^(-1/4),
 
-where Pf(Y_K) vanishes for odd |K| and is 1 for K = {}.  When ker U is
-nontrivial the construction splits along H = F0 + F1 = H0 + H1: a signed
-particle-hole block T0 maps the kernel factor A(F0) onto A(H0) while the
-invertible-chart construction handles A(F1), and
+where L(g) is left wedge-multiplication F -> g ^ F and its transpose
+C(Y) = L(Pf_Y)^T contracts with the subset Pfaffians:
+C(Y) e_M = sum_{K u L = M} (-1)^tau(K, L) Pf(Y_K) e_L.  Read column by
+column, this is the pullback of the coherent-vector ansatz.  L, the creation
+operators and Gamma all come from the one matrix
+``_tables.left_multiplication``.
 
-    T(R)(F0 ^ F1) = (T0 F0) ^ (T1 Gamma((-1)^n Q1) F1),  n = dim ker U.
+When ker U is nontrivial the construction splits along
+H = F0 + F1 = H0 + H1: a signed particle-hole block T0 maps the kernel
+factor A(F0) onto A(H0), the invertible chart of the extension
+R(U + U0, P1 V) handles A(F1), and
+
+    T(R)(F0 ^ F1) = (T0 F0) ^ (T1 Gamma((-1)^n Q1) F1),  n = dim ker U,
+
+each column block being one left multiplication by a T0 column.
 
 Products of implementers reproduce the group only up to the cocycle phase
 chi(R2, R1) with |chi| = 1, extracted here numerically.
@@ -25,15 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import antisymmetric_product, popcounts, tau
+from ._tables import left_multiplication, popcounts, tau
 from .errors import ChartError
-from .fock import FockVector, create, delta, gamma
+from .fock import FockVector, delta, gamma, wedge
 from .gaussian import as_skew, exp_omega, pfaffian_all_subsets
 from .orthogroup import (
     KernelDecomposition,
     OrthogonalTransform,
     compose,
-    kernel_decomposition,
+    coset_coordinate,
 )
 from .supermodule import RegularOperator, regular_from_fock
 
@@ -49,6 +57,7 @@ __all__ = [
     "intertwining_residual",
     "module_lift",
     "cocycle",
+    "ray_phase",
     "VacuumOrbit",
     "vacuum_orbit",
     "orbit_transform",
@@ -90,7 +99,8 @@ def c_norm(x: np.ndarray, rtol: float = 1e-10) -> float:
 def implement_invertible(
     r: OrthogonalTransform, cond_warn: float = 1e8
 ) -> Implementer:
-    """Implementer for the invertible-U chart via the pullback columns."""
+    """Implementer for the invertible-U chart as the normal-ordered product
+    c_X L(exp Omega(X)) Gamma(U^{dag -1}) C(Y)."""
     d = r.d
     u, v = r.u, r.v
     cond = float(np.linalg.cond(u))
@@ -105,38 +115,10 @@ def implement_invertible(
     u_inv = np.linalg.inv(u)
     x = as_skew(v @ np.conj(u_inv), rtol=rtol)
     y = as_skew(np.conj(u_inv) @ np.conj(v), rtol=rtol)
-    a = u_inv.conj().T  # U^{dag -1}
     cx = c_norm(x, rtol=rtol)
-
-    pf_y = pfaffian_all_subsets(y)
-    gauss = exp_omega(x, rtol=rtol).amp
-
-    # wedge chains of the transformed basis columns, then times the Gaussian
-    dim = 1 << d
-    chains = np.empty((dim, dim), dtype=complex)
-    chains[0] = FockVector.vacuum(d).amp
-    raising = [create(a[:, k]) for k in range(d)]
-    for mask in range(1, dim):
-        low = (mask & -mask).bit_length() - 1
-        chains[mask] = raising[low] @ chains[mask ^ (1 << low)]
-    columns = np.empty((dim, dim), dtype=complex)
-    for mask in range(dim):
-        columns[mask] = antisymmetric_product(chains[mask], gauss, d)
-
-    even = popcounts(d) % 2 == 0
-    t = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim):
-        col = np.zeros(dim, dtype=complex)
-        k = m
-        while True:
-            if even[k]:
-                l = m ^ k
-                sign = -1.0 if tau(k, l) & 1 else 1.0
-                col += sign * pf_y[k] * columns[l]
-            if k == 0:
-                break
-            k = (k - 1) & m
-        t[:, m] = cx * col
+    gauss = left_multiplication(exp_omega(x, rtol=rtol).amp, d)
+    contract = left_multiplication(pfaffian_all_subsets(y), d).T
+    t = cx * (gauss @ gamma(u_inv.conj().T) @ contract)
     return Implementer(matrix=t, transform=r, kernel_dim=0)
 
 
@@ -177,34 +159,15 @@ def t0_duality(j: np.ndarray, e_basis: np.ndarray, tol: float = 1e-9) -> T0Block
         raise ValueError("J^dag J does not match conj(Q0)")
 
     full = (1 << n) - 1
+    masks = np.arange(1 << n)
+    signs = np.array([-1.0 if tau(k, full) & 1 else 1.0 for k in range(full + 1)])
     block = np.zeros((1 << n, 1 << n), dtype=complex)
-    in_cols = np.empty((1 << d, 1 << n), dtype=complex)
-    out_cols = np.empty((1 << d, 1 << n), dtype=complex)
-    f_vecs = [FockVector.from_vector(f_basis[:, m]) for m in range(n)]
-    e_vecs = [FockVector.from_vector(e_basis[:, m]) for m in range(n)]
-    for mask in range(1 << n):
-        comp = full ^ mask
-        # tau(K, M) over the full set M reduces to the sum of bit positions
-        sign = -1.0 if (sum(i for i in range(n) if mask >> i & 1) % 2) else 1.0
-        block[comp, mask] = sign
-        in_vec = FockVector.vacuum(d)
-        for m in range(n):
-            if mask >> m & 1:
-                in_vec = _wedge_right(in_vec, f_vecs[m])
-        out_vec = FockVector.vacuum(d)
-        for m in range(n):
-            if comp >> m & 1:
-                out_vec = _wedge_right(out_vec, e_vecs[m])
-        in_cols[:, mask] = in_vec.amp
-        out_cols[:, mask] = sign * out_vec.amp
+    block[full ^ masks, masks] = signs
+    pad = np.zeros((d, d - n))
+    in_cols = gamma(np.hstack([f_basis, pad]))[:, masks]
+    out_cols = gamma(np.hstack([e_basis, pad]))[:, full ^ masks] * signs
     matrix = out_cols @ in_cols.conj().T
     return T0Block(e_basis=e_basis, f_basis=f_basis, block=block, matrix=matrix)
-
-
-def _wedge_right(acc: FockVector, vec: FockVector) -> FockVector:
-    from .fock import wedge
-
-    return wedge(acc, vec)
 
 
 @dataclass(frozen=True)
@@ -225,9 +188,7 @@ class RestrictedImplementer:
 def implement_restricted(r: OrthogonalTransform) -> RestrictedImplementer:
     """Isometric implementer of the invertible block R(U, P1 V)."""
     kd = r.kernel
-    t0 = t0_duality(kd.p0 @ r.v, kd.h0)
-    u0 = kd.h0 @ t0.f_basis.conj().T
-    r_ext = OrthogonalTransform(r.u + u0, kd.p1 @ r.v)
+    _, u0, r_ext = _extension(r, kd)
     ext = implement_invertible(r_ext)
     gamma_q1 = gamma(kd.q1)
     return RestrictedImplementer(
@@ -246,47 +207,33 @@ def implement_general(r: OrthogonalTransform) -> Implementer:
     return _implement_singular(r, kd)
 
 
-def _implement_singular(r: OrthogonalTransform, kd: KernelDecomposition) -> Implementer:
-    d, n = r.d, kd.n
+def _extension(
+    r: OrthogonalTransform, kd: KernelDecomposition
+) -> tuple[T0Block, np.ndarray, OrthogonalTransform]:
+    """Duality block T0, the partial isometry U0: F0 -> H0 and the
+    invertible extension R(U + U0, P1 V)."""
     t0 = t0_duality(kd.p0 @ r.v, kd.h0)
     u0 = kd.h0 @ t0.f_basis.conj().T
-    r_ext = OrthogonalTransform(r.u + u0, kd.p1 @ r.v)
+    return t0, u0, OrthogonalTransform(r.u + u0, kd.p1 @ r.v)
+
+
+def _implement_singular(r: OrthogonalTransform, kd: KernelDecomposition) -> Implementer:
+    d, n = r.d, kd.n
+    t0, _, r_ext = _extension(r, kd)
     t_ext = implement_invertible(r_ext).matrix
 
     # combined unitary basis: kernel factors first, then the F1 basis
-    c = np.hstack([t0.f_basis, kd.f1])
-    gamma_c = gamma(c)
-
-    m_low = (1 << n) - 1
-    dim = 1 << d
+    gamma_c = gamma(np.hstack([t0.f_basis, kd.f1]))
     # images of the F1-basis wedges under T1 Gamma((-1)^n Q1)
-    g_cols = np.zeros((dim, 1 << (d - n)), dtype=complex)
-    for lmask in range(1 << (d - n)):
-        g_cols[:, lmask] = gamma_c[:, lmask << n]
-    t1_cols = t_ext @ g_cols
+    t1_cols = t_ext @ gamma_c[:, :: 1 << n]
     if n % 2 == 1:
-        signs = np.where(popcounts(d - n) % 2 == 0, 1.0, -1.0)
-        t1_cols = t1_cols * signs[None, :]
-
+        t1_cols = t1_cols * np.where(popcounts(d - n) % 2 == 0, 1.0, -1.0)
     # images of the kernel wedges under T0 (signed complement wedges)
-    e_vecs = [FockVector.from_vector(t0.e_basis[:, m]) for m in range(n)]
-    t0_cols = np.zeros((dim, 1 << n), dtype=complex)
-    for kmask in range(1 << n):
-        comp = m_low ^ kmask
-        sign = -1.0 if (sum(i for i in range(n) if kmask >> i & 1) % 2) else 1.0
-        vec = FockVector.vacuum(d)
-        for m in range(n):
-            if comp >> m & 1:
-                vec = _wedge_right(vec, e_vecs[m])
-        t0_cols[:, kmask] = sign * vec.amp
-
-    combined = np.empty((dim, dim), dtype=complex)
-    for mask in range(dim):
-        kmask = mask & m_low
-        lmask = mask >> n
-        combined[:, mask] = antisymmetric_product(
-            t0_cols[:, kmask], t1_cols[:, lmask], d
-        )
+    t0_cols = t0.matrix @ gamma_c[:, : 1 << n]
+    # column k + (l << n) of the combined map is t0_cols[:, k] ^ t1_cols[:, l]
+    combined = np.empty((1 << d, 1 << d), dtype=complex)
+    for k in range(1 << n):
+        combined[:, k :: 1 << n] = left_multiplication(t0_cols[:, k], d) @ t1_cols
     t = combined @ gamma_c.conj().T
     return Implementer(matrix=t, transform=r, kernel_dim=n, h0_basis=kd.h0)
 
@@ -318,19 +265,28 @@ def cocycle(
     the full matrix; a residual above tol (relative to the matrix scale)
     signals that the product is not a scalar multiple, i.e. a bug.
     """
-    t2 = implement_general(r2).matrix
-    t1 = implement_general(r1).matrix
-    t12 = implement_general(compose(r2, r1)).matrix
-    prod = t2 @ t1
-    idx = np.unravel_index(np.argmax(np.abs(t12)), t12.shape)
-    chi = complex(prod[idx] / t12[idx])
-    resid = float(np.max(np.abs(prod - chi * t12)))
-    if resid > tol * max(1.0, float(np.max(np.abs(prod)))):
+    prod = implement_general(r2).matrix @ implement_general(r1).matrix
+    chi, resid, ok = ray_phase(prod, implement_general(compose(r2, r1)).matrix, tol)
+    if not ok:
         raise ArithmeticError(
             f"product is not a scalar multiple of the composed implementer "
             f"(residual {resid:.3e})"
         )
     return chi
+
+
+def ray_phase(
+    prod: np.ndarray, t12: np.ndarray, tol: float
+) -> tuple[complex, float, bool]:
+    """Phase chi with prod = chi t12, taken at the largest entry of t12.
+
+    Returns chi, the residual max|prod - chi t12| and whether that residual
+    is within tol relative to the scale of prod.
+    """
+    idx = np.unravel_index(np.argmax(np.abs(t12)), t12.shape)
+    chi = complex(prod[idx] / t12[idx])
+    resid = float(np.max(np.abs(prod - chi * t12)))
+    return chi, resid, resid <= tol * max(1.0, float(np.max(np.abs(prod))))
 
 
 @dataclass(frozen=True)
@@ -354,8 +310,6 @@ class VacuumOrbit:
 
 def vacuum_orbit(r: OrthogonalTransform) -> VacuumOrbit:
     """Vacuum orbit vector of R, phase-fixed by the kernel-basis wedge."""
-    from .orthogroup import coset_coordinate
-
     kd = r.kernel
     cp = coset_coordinate(r)
     theta = c_norm(cp.x) * exp_omega(cp.x)
@@ -363,12 +317,7 @@ def vacuum_orbit(r: OrthogonalTransform) -> VacuumOrbit:
         vec = theta
         overlap = float(np.real(vec.amp[0]))
     else:
-        head = FockVector.vacuum(r.d)
-        for m in range(kd.n):
-            head = _wedge_right(head, FockVector.from_vector(kd.h0[:, m]))
-        from .fock import wedge
-
-        vec = wedge(head, theta)
+        vec = wedge(FockVector.wedge_of(kd.h0.T), theta)
         overlap = 0.0
     return VacuumOrbit(
         vector=vec, x=cp.x, kernel_dim=kd.n, h0_basis=kd.h0, overlap=overlap

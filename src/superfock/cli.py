@@ -40,12 +40,12 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        flat = np.array([complex(re, im) for re, im in obj["data"]])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix data length {len(data)} != rows*cols {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data])
+    if flat.size != rows * cols:
+        raise ValueError(f"matrix data length {flat.size} != rows*cols {rows * cols}")
     return flat.reshape(rows, cols)
 
 
@@ -56,9 +56,14 @@ def vector_to_json(v: np.ndarray) -> list:
 def load_transform(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    d = int(obj["d"])
-    u = matrix_from_json(obj["U"])
-    v = matrix_from_json(obj["V"])
+    try:
+        d = int(obj["d"])
+        u = matrix_from_json(obj["U"])
+        v = matrix_from_json(obj["V"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed transform object: {exc!r}") from exc
+    if d < 1:
+        raise ValueError(f"d must be a positive mode count, got {d}")
     if u.shape != (d, d) or v.shape != (d, d):
         raise ValueError(f"U, V must be {d}x{d}; got {u.shape}, {v.shape}")
     return d, u, v
@@ -94,7 +99,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = _report("check", args, input=args.input[0])
     try:
         d, u, v = load_transform(args.input[0])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         report["error"] = str(exc)
         return _emit(report, EXIT_IO)
     residuals = og.validate(u, v, args.tol)
@@ -117,7 +122,7 @@ def cmd_implement(args: argparse.Namespace) -> int:
     report = _report("implement", args, input=args.input[0], out=args.out)
     try:
         d, u, v = load_transform(args.input[0])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         report["error"] = str(exc)
         return _emit(report, EXIT_IO)
     residuals = og.validate(u, v, args.tol)
@@ -155,14 +160,14 @@ def cmd_implement(args: argparse.Namespace) -> int:
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
-    if len(args.input) != 2:
-        print("compose needs exactly two -i/--input files", file=sys.stderr)
-        return EXIT_IO
     report = _report("compose", args, input=list(args.input))
+    if len(args.input) != 2:
+        report["error"] = "compose needs exactly two -i/--input files"
+        return _emit(report, EXIT_IO)
     try:
         d1, u1, v1 = load_transform(args.input[0])
         d2, u2, v2 = load_transform(args.input[1])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         report["error"] = str(exc)
         return _emit(report, EXIT_IO)
     if d1 != d2:
@@ -179,19 +184,19 @@ def cmd_compose(args: argparse.Namespace) -> int:
     report["U"] = matrix_to_json(rc.u)
     report["V"] = matrix_to_json(rc.v)
     try:
-        chi = bg.cocycle(ra, rb, tol=max(args.tol, 1e-8))
-        ta = bg.implement_general(ra).matrix
-        tb = bg.implement_general(rb).matrix
-        tc = bg.implement_general(rc).matrix
-        ray_residual = float(np.max(np.abs(ta @ tb - chi * tc)))
+        ta, tb, tc = (bg.implement_general(r).matrix for r in (ra, rb, rc))
     except RankAmbiguityError as exc:
         report["error"] = str(exc)
         return _emit(report, EXIT_AMBIGUOUS)
+    chi, ray_residual, ok = bg.ray_phase(ta @ tb, tc, max(args.tol, 1e-8))
     report["chi"] = [float(chi.real), float(chi.imag)]
     report["residuals"] = {
         "abs_chi_minus_one": abs(abs(chi) - 1.0),
         "ray_residual": ray_residual,
     }
+    if not ok:
+        report["error"] = "product is not a scalar multiple of the composed implementer"
+        return _emit(report, EXIT_INVALID)
     return _emit(report, EXIT_OK)
 
 
@@ -199,7 +204,7 @@ def cmd_vacuum(args: argparse.Namespace) -> int:
     report = _report("vacuum", args, input=args.input[0])
     try:
         d, u, v = load_transform(args.input[0])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         report["error"] = str(exc)
         return _emit(report, EXIT_IO)
     res = og.validate(u, v, args.tol)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._tables import (
     antisymmetric_product,
-    mask_indices,
+    left_multiplication,
     popcounts,
     reversal_signs,
     tau,
@@ -175,28 +175,10 @@ def bilinear(f: FockVector, g: FockVector) -> complex:
     return complex(np.sum(reversal_signs(f.modes) * f.amp * g.amp))
 
 
-def _raising_matrix(d: int, k: int) -> np.ndarray:
-    """Matrix of the elementary creation operator for mode k."""
-    dim = 1 << d
-    masks = np.arange(dim)
-    free = (masks >> k) & 1 == 0
-    cols = masks[free]
-    rows = cols | (1 << k)
-    signs = np.where(popcounts(d)[cols & ((1 << k) - 1)] % 2 == 0, 1.0, -1.0)
-    op = np.zeros((dim, dim), dtype=complex)
-    op[rows, cols] = signs
-    return op
-
-
 def create(f: np.ndarray) -> np.ndarray:
     """Creation operator a+(f), acting as F -> f ^ F.  Linear in f."""
-    f = np.asarray(f, dtype=complex)
-    d = f.shape[0]
-    op = np.zeros((1 << d, 1 << d), dtype=complex)
-    for k in range(d):
-        if f[k] != 0:
-            op += f[k] * _raising_matrix(d, k)
-    return op
+    vec = FockVector.from_vector(f)
+    return left_multiplication(vec.amp, vec.modes)
 
 
 def annihilate(f: np.ndarray) -> np.ndarray:
@@ -214,23 +196,21 @@ def gamma(b: np.ndarray) -> np.ndarray:
     """Multiplicative second quantization of a one-particle operator.
 
     Maps the vacuum to itself and f_1 ^ ... ^ f_n to (b f_1) ^ ... ^ (b f_n);
-    the matrix element between e_A and e_B with |A| = |B| = p is the minor
-    det b[A, B].
+    the entry between e_A and e_B is the minor det b[A, B].  Built by the
+    recursion Gamma(b) e_A = (b e_k) ^ Gamma(b) e_{A - k}, k the lowest bit
+    of A, one matmul per k: numpy's determinants go through exp(log|det|),
+    whose rounding the implementer's cancellations would amplify.
     """
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("gamma expects a square matrix")
     d = b.shape[0]
     dim = 1 << d
-    p = popcounts(d)
     op = np.zeros((dim, dim), dtype=complex)
     op[0, 0] = 1.0
-    masks = np.arange(dim)
-    for size in range(1, d + 1):
-        sel = masks[p == size]
-        idx = np.array([mask_indices(m) for m in sel])  # (n, size)
-        sub = b[idx[:, None, :, None], idx[None, :, None, :]]  # (n, n, size, size)
-        op[np.ix_(sel, sel)] = np.linalg.det(sub)
+    for k in reversed(range(d)):
+        rest = np.arange(0, dim, 2 << k)  # masks with every bit above k
+        op[:, rest | (1 << k)] = create(b[:, k]) @ op[:, rest]
     return op
 
 

@@ -17,7 +17,7 @@ from . import orthogroup as og
 from ._tables import popcounts
 from .fock import delta, gamma
 from .gaussian import overlap_det
-from .grassmann import gexp
+from .grassmann import gexp, gproduct
 from .supermodule import (
     ModuleTensor,
     SuperVector,
@@ -98,8 +98,6 @@ def _check_h17(g, d, rng, trials=10):
         theta, zeta = parts
         ce = coherent(xi)
         lhs = lambda_inner(ce, mproduct(theta, zeta))
-        from .grassmann import gproduct
-
         rhs = gproduct(lambda_inner(ce, theta), lambda_inner(ce, zeta))
         worst = max(worst, float(np.max(np.abs(lhs.amp - rhs.amp))))
     return worst

@@ -22,10 +22,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._tables import factorials, popcounts, reversal_signs, wedge_table
-from .fock import FockVector
+from ._tables import (
+    factorials,
+    left_multiplication,
+    popcounts,
+    reversal_signs,
+    wedge_table,
+)
+from .fock import FockVector, create
 from .gaussian import exp_omega
-from .grassmann import GrassmannElement, gstar
+from .grassmann import GrassmannElement, gproduct, gstar
 
 __all__ = [
     "ModuleTensor",
@@ -384,7 +390,7 @@ class RegularOperator:
         dim = (1 << self.generators) * (1 << self.modes)
         out = np.zeros((dim, dim), dtype=complex)
         for mu, op in self.terms:
-            out += np.kron(_left_mult_matrix(mu), op)
+            out += np.kron(left_multiplication(mu.amp, self.generators), op)
         return out
 
     def superadjoint(self) -> "RegularOperator":
@@ -400,8 +406,6 @@ class RegularOperator:
         """Operator product self o other (term-wise bilinear)."""
         if (self.generators, self.modes) != (other.generators, other.modes):
             raise ValueError("operator shapes differ")
-        from .grassmann import gproduct
-
         terms = []
         for mu, op in self.terms:
             for nu, oq in other.terms:
@@ -409,8 +413,6 @@ class RegularOperator:
         return RegularOperator(self.generators, self.modes, terms)
 
     def left_gmul(self, lam: GrassmannElement) -> "RegularOperator":
-        from .grassmann import gproduct
-
         return RegularOperator(
             self.generators,
             self.modes,
@@ -442,14 +444,6 @@ class RegularOperator:
         )
 
 
-def _left_mult_matrix(mu: GrassmannElement) -> np.ndarray:
-    """Matrix of lam -> mu lam on Grassmann amplitudes."""
-    gl, gr, go, gs = wedge_table(mu.generators)
-    out = np.zeros((1 << mu.generators, 1 << mu.generators), dtype=complex)
-    np.add.at(out, (go, gr), gs * mu.amp[gl])
-    return out
-
-
 def regular_from_fock(generators: int, op: np.ndarray) -> RegularOperator:
     """Lift a Fock operator to k_0 (x) T."""
     op = np.asarray(op, dtype=complex)
@@ -461,8 +455,6 @@ def regular_from_fock(generators: int, op: np.ndarray) -> RegularOperator:
 
 def b_plus(eta: SuperVector) -> RegularOperator:
     """Module creation operator b+(eta) Xi = eta o Xi."""
-    from .fock import create
-
     terms = []
     for m in range(eta.generators):
         row = eta.coeff[m]

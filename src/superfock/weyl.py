@@ -27,6 +27,7 @@ from .supermodule import (
     b_plus,
     coherent,
     gmul,
+    mproduct,
     regular_from_fock,
     super_inner,
     ultracoherent,
@@ -176,6 +177,4 @@ def weyl_factorize(
     k = 0 if parity == "even" else 1
     w1 = WeylOperator(eta.apply(p1))
     w2 = WeylOperator(eta.apply(((-1.0) ** k) * p2))
-    from .supermodule import mproduct
-
     return mproduct(w1.apply(xi1), w2.apply(xi2))

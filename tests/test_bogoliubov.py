@@ -60,7 +60,7 @@ def test_bcs_closed_form():
     assert np.max(np.abs(impl.matrix - quadratic_generator_implementer(x))) < 1e-10
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_invertible_chart_against_exponential_oracle(d, rng):
     for _ in range(3):
         x = og.random_skew(d, rng)
@@ -77,18 +77,28 @@ def test_implement_invertible_rejects_singular():
         bg.implement_invertible(r)
 
 
-def test_implement_invertible_warns_when_ill_conditioned():
-    # direct sum of a nearly-degenerate pairing block and an identity block
-    c = 3e-9  # cond(U) ~ 3e8, still outside the singular cutoff
+def _pairing_block(c):
+    """Direct sum of a nearly-degenerate pairing block and an identity block;
+    cond(U) = 1/c."""
     u = np.zeros((4, 4))
     v = np.zeros((4, 4))
     u[:2, :2] = c * np.eye(2)
     v[:2, :2] = np.sqrt(1 - c**2) * J2
     u[2:, 2:] = np.eye(2)
-    r = og.OrthogonalTransform(u, v)
+    return og.OrthogonalTransform(u, v)
+
+
+def test_implement_invertible_warns_when_ill_conditioned():
+    r = _pairing_block(3e-9)  # cond(U) ~ 3e8, still outside the singular cutoff
     with pytest.warns(UserWarning, match="ill-conditioned"):
         impl = bg.implement_invertible(r)
     assert impl.unitarity_residual() < 1e-6  # accuracy degrades with cond
+    # axis-aligned at cond(U) = 1e6 the factors stay exact; Gamma from
+    # numpy minor determinants would leave a residual near 1e-9 here
+    r = _pairing_block(1e-6)
+    impl = bg.implement_invertible(r)
+    assert impl.unitarity_residual() < 1e-12
+    assert bg.intertwining_residual(r, impl.matrix) < 1e-12
 
 
 def test_unitarity_and_intertwining_random(rng):
@@ -375,19 +385,19 @@ def test_vacuum_orbit_cases(rng):
 
 
 def test_vacuum_orbit_matches_implementer(rng):
-    for n in (0, 1, 2):
-        d = 4
-        r = og.random_transform(d, rng, kernel_dim=n)
-        vo = bg.vacuum_orbit(r)
-        t = bg.implement_general(r).matrix
-        assert np.max(np.abs(t[:, 0] - vo.vector.amp)) < 1e-11
-        assert abs(vo.norm() - 1.0) < 1e-11
-        if n == 0:
-            # positive overlap cross-checked against the Gaussian norm
-            assert vo.overlap > 0
-            assert abs(vo.overlap - gaussian_norm(vo.x) ** (-0.5)) < 1e-11
-        else:
-            assert abs(np.vdot(FockVector.vacuum(d).amp, vo.vector.amp)) < 1e-12
+    for d in (4, 6):
+        for n in (0, 1, 2, 3):
+            r = og.random_transform(d, rng, kernel_dim=n)
+            vo = bg.vacuum_orbit(r)
+            t = bg.implement_general(r).matrix
+            assert np.max(np.abs(t[:, 0] - vo.vector.amp)) < 1e-11
+            assert abs(vo.norm() - 1.0) < 1e-11
+            if n == 0:
+                # positive overlap cross-checked against the Gaussian norm
+                assert vo.overlap > 0
+                assert abs(vo.overlap - gaussian_norm(vo.x) ** (-0.5)) < 1e-11
+            else:
+                assert abs(np.vdot(FockVector.vacuum(d).amp, vo.vector.amp)) < 1e-12
 
 
 def test_vacuum_orbit_coset_invariance(rng):

@@ -77,11 +77,30 @@ def test_check_missing_file(capsys, tmp_path):
     assert code == 2
 
 
-def test_check_malformed_json(capsys, tmp_path):
+MALFORMED = {
+    "not_json": "{not json",
+    "top_level_list": "[1, 2]",
+    "string_entries": json.dumps({
+        "d": 1,
+        "U": {"rows": 1, "cols": 1, "data": [["1", "0"]]},
+        "V": {"rows": 1, "cols": 1, "data": [[0, 0]]},
+    }),
+    "zero_modes": json.dumps({
+        "d": 0,
+        "U": {"rows": 0, "cols": 0, "data": []},
+        "V": {"rows": 0, "cols": 0, "data": []},
+    }),
+}
+
+
+@pytest.mark.parametrize("payload", sorted(MALFORMED))
+@pytest.mark.parametrize("command", ["check", "implement", "vacuum"])
+def test_check_malformed_json(capsys, tmp_path, command, payload):
     path = tmp_path / "garbage.json"
-    path.write_text("{not json")
-    code, _ = run(capsys, "check", "-i", str(path))
+    path.write_text(MALFORMED[payload])
+    code, rep = run(capsys, command, "-i", str(path))
     assert code == 2
+    assert rep["exit_status"] == 2 and rep["error"]
 
 
 def test_check_rank_ambiguity(capsys, tmp_path):
@@ -157,6 +176,29 @@ def test_compose_dimension_mismatch(capsys, tmp_path, identity_file, swap_file):
     code, rep = run(capsys, "compose", "-i", identity_file, "-i", swap_file)
     assert code == 2
     assert "mismatch" in rep["error"]
+    code, rep = run(capsys, "compose", "-i", identity_file)
+    assert code == 2
+    assert "exactly two" in rep["error"]
+
+
+def test_compose_reports_non_scalar_product(capsys, tmp_path):
+    # cond(U) = 1e5 in generic orientation: the invertible chart loses enough
+    # accuracy that T(A) T(B) is no longer a multiple of T(AB)
+    rng = np.random.default_rng(0)
+    c = 1e-5
+    u = np.zeros((4, 4))
+    v = np.zeros((4, 4))
+    u[:2, :2] = c * np.eye(2)
+    v[:2, :2] = np.sqrt(1 - c**2) * J2
+    u[2:, 2:] = np.eye(2)
+    w, s = og.haar_unitary(4, rng), og.haar_unitary(4, rng)
+    f1 = write_transform(tmp_path / "a.json", w @ u @ s, w @ v @ np.conj(s))
+    r = og.random_transform(4, rng)
+    f2 = write_transform(tmp_path / "b.json", r.u, r.v)
+    code, rep = run(capsys, "compose", "-i", f1, "-i", f2)
+    assert code == 1
+    assert "not a scalar multiple" in rep["error"]
+    assert rep["residuals"]["ray_residual"] > 1e-8
 
 
 def test_vacuum_identity_and_bcs(capsys, identity_file, bcs_file):

@@ -15,7 +15,7 @@ from superfock.fock import (
     tau,
     wedge,
 )
-from superfock._tables import popcounts
+from superfock._tables import mask_indices, popcounts
 from superfock.orthogroup import haar_unitary
 
 from conftest import random_complex
@@ -178,6 +178,16 @@ def test_gamma_identity_and_defining_rule(rng):
     rhs = FockVector.wedge_of([b[:, 0], b[:, 1]]).amp
     assert np.max(np.abs(lhs - rhs)) < 1e-13
     assert np.max(np.abs(gamma(b) @ FockVector.vacuum(d).amp - FockVector.vacuum(d).amp)) == 0.0
+    # entry (A, B) is the minor det b[A, B] for |A| = |B|, zero otherwise
+    d = 4
+    b = random_complex(rng, d, d)
+    g = gamma(b)
+    p = popcounts(d)
+    for a in range(1, 1 << d):
+        for c in range(1, 1 << d):
+            rows, cols = mask_indices(a), mask_indices(c)
+            want = np.linalg.det(b[np.ix_(rows, cols)]) if p[a] == p[c] else 0.0
+            assert abs(g[a, c] - want) < 1e-12
 
 
 def test_gamma_multiplicative_and_unitary(rng):
