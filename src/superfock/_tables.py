@@ -8,7 +8,8 @@ value.  All sign bookkeeping reduces to the inversion count
     tau(A, B) = #{(a, b) in A x B : a > b},
 
 which gives the reordering sign e_A ^ e_B = (-1)^tau(A,B) e_{A u B} for
-disjoint masks A, B.
+disjoint masks A, B.  ``FrozenArray`` is the immutable array value that
+the Fock, Grassmann and module-space classes share.
 """
 
 from __future__ import annotations
@@ -100,6 +101,56 @@ def left_multiplication(g: np.ndarray, nbits: int) -> np.ndarray:
     m = np.zeros((1 << nbits, 1 << nbits), dtype=complex)
     m[out, right] = sign * g[left]
     return m
+
+
+class FrozenArray:
+    """Immutable value backed by one read-only complex array ``amp``.
+
+    The constructor copies its input and checks the shape; ``+``, ``-``,
+    negation and scalar ``*`` act on ``amp`` and return the same type.
+    """
+
+    __slots__ = ("amp",)
+
+    def __init__(self, amplitudes, shape: tuple[int, ...]):
+        amp = np.array(amplitudes, dtype=complex)
+        if amp.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {amp.shape}")
+        amp.setflags(write=False)
+        object.__setattr__(self, "amp", amp)
+
+    @classmethod
+    def _wrap(cls, amp: np.ndarray):
+        """Instance around a freshly computed array, without the copy."""
+        new = object.__new__(cls)
+        amp.setflags(write=False)
+        object.__setattr__(new, "amp", amp)
+        return new
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _check_same(self, other) -> None:
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if self.amp.shape != other.amp.shape:
+            raise ValueError(f"shapes differ: {self.amp.shape} != {other.amp.shape}")
+
+    def __add__(self, other):
+        self._check_same(other)
+        return self._wrap(self.amp + other.amp)
+
+    def __sub__(self, other):
+        self._check_same(other)
+        return self._wrap(self.amp - other.amp)
+
+    def __neg__(self):
+        return self._wrap(-self.amp)
+
+    def __mul__(self, scalar):
+        return self._wrap(self.amp * complex(scalar))
+
+    __rmul__ = __mul__
 
 
 def mask_indices(mask: int) -> list[int]:

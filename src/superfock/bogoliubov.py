@@ -36,7 +36,7 @@ import numpy as np
 from ._tables import left_multiplication, popcounts, tau
 from .errors import ChartError
 from .fock import FockVector, delta, gamma, wedge
-from .gaussian import as_skew, exp_omega, pfaffian_all_subsets
+from .gaussian import as_skew, exp_omega, gaussian_norm, pfaffian_all_subsets
 from .orthogroup import (
     KernelDecomposition,
     OrthogonalTransform,
@@ -91,9 +91,7 @@ class Implementer:
 
 def c_norm(x: np.ndarray, rtol: float = 1e-10) -> float:
     """Normalization constant det(I + X^dag X)^(-1/4); equals c_{X^dag}."""
-    x = as_skew(x, rtol=rtol)
-    evals = np.linalg.eigvalsh(np.eye(x.shape[0]) + x.conj().T @ x)
-    return float(np.prod(evals) ** (-0.25))
+    return gaussian_norm(x, rtol) ** -0.5
 
 
 def implement_invertible(

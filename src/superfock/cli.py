@@ -66,6 +66,8 @@ def load_transform(path: str) -> tuple[int, np.ndarray, np.ndarray]:
         raise ValueError(f"d must be a positive mode count, got {d}")
     if u.shape != (d, d) or v.shape != (d, d):
         raise ValueError(f"U, V must be {d}x{d}; got {u.shape}, {v.shape}")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("U, V entries must be finite (no NaN or Infinity)")
     return d, u, v
 
 

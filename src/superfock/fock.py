@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._tables import (
+    FrozenArray,
     antisymmetric_product,
     left_multiplication,
     popcounts,
@@ -41,30 +42,23 @@ __all__ = [
 ]
 
 
-class FockVector:
+class FockVector(FrozenArray):
     """Element of the antisymmetric Fock space over ``modes`` modes.
 
     Amplitudes are stored densely over the subset basis; instances are
     immutable (the amplitude array is marked read-only).
     """
 
-    __slots__ = ("modes", "amp")
+    __slots__ = ()
 
     def __init__(self, modes: int, amplitudes: np.ndarray):
         if modes < 0:
             raise ValueError("mode count must be nonnegative")
-        amp = np.asarray(amplitudes, dtype=complex)
-        if amp.shape != (1 << modes,):
-            raise ValueError(
-                f"expected {1 << modes} amplitudes for {modes} modes, got {amp.shape}"
-            )
-        amp = amp.copy()
-        amp.setflags(write=False)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "amp", amp)
+        super().__init__(amplitudes, (1 << modes,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FockVector is immutable")
+    @property
+    def modes(self) -> int:
+        return self.amp.shape[0].bit_length() - 1
 
     # -- constructors -----------------------------------------------------
 
@@ -122,30 +116,6 @@ class FockVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        self._check_same(other)
-        return FockVector(self.modes, self.amp + other.amp)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        self._check_same(other)
-        return FockVector(self.modes, self.amp - other.amp)
-
-    def __mul__(self, scalar) -> "FockVector":
-        return FockVector(self.modes, self.amp * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FockVector":
-        return FockVector(self.modes, -self.amp)
-
-    def _check_same(self, other: "FockVector") -> None:
-        if not isinstance(other, FockVector):
-            raise TypeError("expected a FockVector")
-        if self.modes != other.modes:
-            raise ValueError(f"mode counts differ: {self.modes} != {other.modes}")
 
     def __repr__(self) -> str:
         terms = np.count_nonzero(self.amp)

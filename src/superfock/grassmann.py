@@ -14,7 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._tables import antisymmetric_product, factorials, popcounts, reversal_signs
+from ._tables import (
+    FrozenArray,
+    antisymmetric_product,
+    factorials,
+    popcounts,
+    reversal_signs,
+)
 
 __all__ = [
     "GrassmannElement",
@@ -26,26 +32,19 @@ __all__ = [
 ]
 
 
-class GrassmannElement:
+class GrassmannElement(FrozenArray):
     """Element of the Grassmann algebra on ``generators`` generators."""
 
-    __slots__ = ("generators", "amp")
+    __slots__ = ()
 
     def __init__(self, generators: int, amplitudes: np.ndarray):
         if generators < 0:
             raise ValueError("generator count must be nonnegative")
-        amp = np.asarray(amplitudes, dtype=complex)
-        if amp.shape != (1 << generators,):
-            raise ValueError(
-                f"expected {1 << generators} amplitudes for {generators} generators"
-            )
-        amp = amp.copy()
-        amp.setflags(write=False)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "amp", amp)
+        super().__init__(amplitudes, (1 << generators,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannElement is immutable")
+    @property
+    def generators(self) -> int:
+        return self.amp.shape[0].bit_length() - 1
 
     @classmethod
     def zero(cls, generators: int) -> "GrassmannElement":
@@ -80,30 +79,6 @@ class GrassmannElement:
     def scalar(self) -> complex:
         """Coefficient of the unit."""
         return complex(self.amp[0])
-
-    def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
-        self._check_same(other)
-        return GrassmannElement(self.generators, self.amp + other.amp)
-
-    def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
-        self._check_same(other)
-        return GrassmannElement(self.generators, self.amp - other.amp)
-
-    def __mul__(self, scalar) -> "GrassmannElement":
-        return GrassmannElement(self.generators, self.amp * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement(self.generators, -self.amp)
-
-    def _check_same(self, other: "GrassmannElement") -> None:
-        if not isinstance(other, GrassmannElement):
-            raise TypeError("expected a GrassmannElement")
-        if self.generators != other.generators:
-            raise ValueError(
-                f"generator counts differ: {self.generators} != {other.generators}"
-            )
 
     def __repr__(self) -> str:
         return (

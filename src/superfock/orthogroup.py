@@ -188,7 +188,6 @@ class KernelDecomposition:
     q0: np.ndarray
     q1: np.ndarray
     f1: np.ndarray          # ON basis of F1, deterministic given U
-    u_pinv: np.ndarray      # generalized inverse of U with the same rank split
 
 
 def kernel_decomposition(r: OrthogonalTransform) -> KernelDecomposition:
@@ -203,11 +202,8 @@ def kernel_decomposition(r: OrthogonalTransform) -> KernelDecomposition:
     eye = np.eye(d)
     p0 = h0 @ h0.conj().T
     q0 = f0 @ f0.conj().T
-    inv_s = np.zeros_like(s)
-    inv_s[~zero] = 1.0 / s[~zero]
-    u_pinv = zh.conj().T @ np.diag(inv_s) @ w.conj().T
     return KernelDecomposition(
-        n=n, h0=h0, f0=f0, p0=p0, p1=eye - p0, q0=q0, q1=eye - q0, f1=f1, u_pinv=u_pinv
+        n=n, h0=h0, f0=f0, p0=p0, p1=eye - p0, q0=q0, q1=eye - q0, f1=f1
     )
 
 
@@ -244,7 +240,7 @@ def coset_coordinate(r: OrthogonalTransform) -> CosetPoint:
     the coset.  Invariant under R -> R R(S,0).
     """
     kd = r.kernel
-    x_raw = r.v @ np.conj(kd.u_pinv)
+    x_raw = r.v @ np.conj(gen_inverse(r.u, RANK_ZERO))
     cond = float(np.linalg.cond(r.u)) if kd.n == 0 else 1.0
     rtol = max(1e-10, 64 * np.finfo(float).eps * cond)
     return CosetPoint(x=as_skew(x_raw, rtol=rtol), h0=kd.h0)

@@ -11,8 +11,9 @@ are stored as a (2**G, 2**d) array.  It carries
 * supervectors xi = sum_mk C[m,k] k_m (x) e_k, their coherent vectors
   exp xi = sum_p xi^p / p!, and ultracoherent vectors
   Psi(X, xi) = exp(xi) o (k_0 (x) exp Omega(X)),
-* regular operators sum_j mu_j (x) T_j with their superadjoint
-  sum_j mu_j* (x) T_j^dag.
+* regular operators sum_j mu_j (x) T_j, kept in the normal form
+  sum_P k_P (x) T_P as a (2**G, 2**d, 2**d) array of Fock operators, with
+  their superadjoint sum_P k_P* (x) T_P^dag.
 
 The module norm weights the generator index with the graded Grassmann norm:
 |Xi|^2 = sum_{P,A} (|P|!)^-2 |Xi[P,A]|^2.
@@ -23,15 +24,15 @@ from __future__ import annotations
 import numpy as np
 
 from ._tables import (
+    FrozenArray,
     factorials,
-    left_multiplication,
     popcounts,
     reversal_signs,
     wedge_table,
 )
 from .fock import FockVector, create
 from .gaussian import exp_omega
-from .grassmann import GrassmannElement, gproduct, gstar
+from .grassmann import GrassmannElement
 
 __all__ = [
     "ModuleTensor",
@@ -51,25 +52,21 @@ __all__ = [
 ]
 
 
-class ModuleTensor:
+class ModuleTensor(FrozenArray):
     """Element of the module Fock space on (generators, modes)."""
 
-    __slots__ = ("generators", "modes", "amp")
+    __slots__ = ()
 
     def __init__(self, generators: int, modes: int, amplitudes: np.ndarray):
-        amp = np.asarray(amplitudes, dtype=complex)
-        if amp.shape != (1 << generators, 1 << modes):
-            raise ValueError(
-                f"expected shape {(1 << generators, 1 << modes)}, got {amp.shape}"
-            )
-        amp = amp.copy()
-        amp.setflags(write=False)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "amp", amp)
+        super().__init__(amplitudes, (1 << generators, 1 << modes))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleTensor is immutable")
+    @property
+    def generators(self) -> int:
+        return self.amp.shape[0].bit_length() - 1
+
+    @property
+    def modes(self) -> int:
+        return self.amp.shape[1].bit_length() - 1
 
     # -- constructors -------------------------------------------------------
 
@@ -144,30 +141,6 @@ class ModuleTensor:
     def from_flat(cls, generators: int, modes: int, vec: np.ndarray) -> "ModuleTensor":
         return cls(generators, modes, vec.reshape(1 << generators, 1 << modes))
 
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other: "ModuleTensor") -> "ModuleTensor":
-        self._check_same(other)
-        return ModuleTensor(self.generators, self.modes, self.amp + other.amp)
-
-    def __sub__(self, other: "ModuleTensor") -> "ModuleTensor":
-        self._check_same(other)
-        return ModuleTensor(self.generators, self.modes, self.amp - other.amp)
-
-    def __mul__(self, scalar) -> "ModuleTensor":
-        return ModuleTensor(self.generators, self.modes, self.amp * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ModuleTensor":
-        return ModuleTensor(self.generators, self.modes, -self.amp)
-
-    def _check_same(self, other: "ModuleTensor") -> None:
-        if not isinstance(other, ModuleTensor):
-            raise TypeError("expected a ModuleTensor")
-        if (self.generators, self.modes) != (other.generators, other.modes):
-            raise ValueError("tensor shapes differ")
-
     def __repr__(self) -> str:
         return (
             f"ModuleTensor(generators={self.generators}, modes={self.modes}, "
@@ -228,23 +201,28 @@ def weighted_norm(xi: ModuleTensor, alpha: float) -> float:
     return float(np.linalg.norm(wg[:, None] * wf[None, :] * xi.amp))
 
 
-class SuperVector:
+class SuperVector(FrozenArray):
     """Supervector sum_mk C[m,k] k_m (x) e_k in the restricted superspace."""
 
-    __slots__ = ("generators", "modes", "coeff")
+    __slots__ = ()
 
     def __init__(self, coeff: np.ndarray):
-        coeff = np.asarray(coeff, dtype=complex)
-        if coeff.ndim != 2:
+        shape = np.shape(coeff)
+        if len(shape) != 2:
             raise ValueError("coefficient array must be (generators, modes)")
-        coeff = coeff.copy()
-        coeff.setflags(write=False)
-        object.__setattr__(self, "generators", coeff.shape[0])
-        object.__setattr__(self, "modes", coeff.shape[1])
-        object.__setattr__(self, "coeff", coeff)
+        super().__init__(coeff, shape)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperVector is immutable")
+    @property
+    def coeff(self) -> np.ndarray:
+        return self.amp
+
+    @property
+    def generators(self) -> int:
+        return self.amp.shape[0]
+
+    @property
+    def modes(self) -> int:
+        return self.amp.shape[1]
 
     @classmethod
     def zero(cls, generators: int, modes: int) -> "SuperVector":
@@ -278,26 +256,6 @@ class SuperVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeff))
-
-    def __add__(self, other: "SuperVector") -> "SuperVector":
-        self._check_same(other)
-        return SuperVector(self.coeff + other.coeff)
-
-    def __sub__(self, other: "SuperVector") -> "SuperVector":
-        self._check_same(other)
-        return SuperVector(self.coeff - other.coeff)
-
-    def __mul__(self, scalar) -> "SuperVector":
-        return SuperVector(self.coeff * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SuperVector":
-        return SuperVector(-self.coeff)
-
-    def _check_same(self, other: "SuperVector") -> None:
-        if (self.generators, self.modes) != (other.generators, other.modes):
-            raise ValueError("supervector shapes differ")
 
     def __repr__(self) -> str:
         return (
@@ -342,100 +300,91 @@ def ultracoherent(x: np.ndarray, xi: SuperVector, rtol: float = 1e-10) -> Module
     return mproduct(coherent(xi), gauss)
 
 
-class RegularOperator:
-    """Operator sum_j mu_j (x) T_j on the module space.
+class RegularOperator(FrozenArray):
+    """Operator sum_P k_P (x) T_P on the module space, in normal form.
 
-    Terms act as (mu (x) T)(lam (x) F) = mu lam (x) T F.  The list form
-    mirrors the defining decomposition; ``materialize`` produces the dense
-    matrix for oracle comparisons.
+    ``amp[P]`` is the Fock operator T_P paired with the Grassmann basis
+    element k_P, and (k_P (x) T)(lam (x) F) = k_P lam (x) T F.  A sum of
+    terms mu_j (x) T_j reduces to T_P = sum_j mu_j[P] T_j, so products and
+    the dense matrix follow from the wedge table.
     """
 
-    __slots__ = ("generators", "modes", "terms")
+    __slots__ = ()
 
     def __init__(self, generators: int, modes: int, terms):
-        clean = []
+        amp = np.zeros((1 << generators, 1 << modes, 1 << modes), dtype=complex)
         for mu, op in terms:
             if mu.generators != generators:
                 raise ValueError("term Grassmann factor has wrong generator count")
             op = np.asarray(op, dtype=complex)
-            if op.shape != (1 << modes, 1 << modes):
+            if op.shape != amp.shape[1:]:
                 raise ValueError("term Fock factor has wrong shape")
-            if np.any(mu.amp != 0) and np.any(op != 0):
-                clean.append((mu, op))
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "terms", tuple(clean))
+            amp += mu.amp[:, None, None] * op
+        super().__init__(amp, amp.shape)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RegularOperator is immutable")
+    @property
+    def generators(self) -> int:
+        return self.amp.shape[0].bit_length() - 1
+
+    @property
+    def modes(self) -> int:
+        return self.amp.shape[1].bit_length() - 1
+
+    @property
+    def terms(self) -> tuple:
+        """The nonzero (k_P, T_P) pairs of the normal form."""
+        nonzero = np.flatnonzero(self.amp.reshape(len(self.amp), -1).any(axis=1))
+        return tuple(
+            (GrassmannElement.basis(self.generators, p), self.amp[p]) for p in nonzero
+        )
 
     @classmethod
     def identity(cls, generators: int, modes: int) -> "RegularOperator":
-        return cls(
-            generators,
-            modes,
-            [(GrassmannElement.unit(generators), np.eye(1 << modes, dtype=complex))],
-        )
+        return regular_from_fock(generators, np.eye(1 << modes))
 
     def apply(self, xi: ModuleTensor) -> ModuleTensor:
         if (xi.generators, xi.modes) != (self.generators, self.modes):
             raise ValueError("tensor shape does not match operator")
-        out = ModuleTensor.zero(self.generators, self.modes)
-        for mu, op in self.terms:
-            out = out + gmul(mu, xi.apply_fock(op))
-        return out
+        gl, gr, go, gs = wedge_table(self.generators)
+        acted = np.einsum("pij,qj->pqi", self.amp, xi.amp)  # [P, Q] = T_P xi[Q]
+        out = np.zeros_like(xi.amp)
+        np.add.at(out, go, gs[:, None] * acted[gl, gr])
+        return ModuleTensor._wrap(out)
 
     def materialize(self) -> np.ndarray:
-        """Dense matrix on flattened amplitudes (generator index major)."""
-        dim = (1 << self.generators) * (1 << self.modes)
-        out = np.zeros((dim, dim), dtype=complex)
-        for mu, op in self.terms:
-            out += np.kron(left_multiplication(mu.amp, self.generators), op)
-        return out
+        """Dense matrix on flattened amplitudes (generator index major).
+
+        Block (P u Q, Q) is (-1)^tau(P, Q) T_P; each (out, right) pair of
+        the wedge table occurs once, so plain assignment fills it.
+        """
+        gl, gr, go, gs = wedge_table(self.generators)
+        ng, nd = self.amp.shape[:2]
+        out = np.zeros((ng, nd, ng, nd), dtype=complex)
+        out[go, :, gr, :] = gs[:, None, None] * self.amp[gl]
+        return out.reshape(ng * nd, ng * nd)
 
     def superadjoint(self) -> "RegularOperator":
-        """sum mu_j (x) T_j -> sum mu_j* (x) T_j^dag; the adjoint for the
+        """sum k_P (x) T_P -> sum k_P* (x) T_P^dag; the adjoint for the
         Grassmann-valued inner product."""
-        return RegularOperator(
-            self.generators,
-            self.modes,
-            [(gstar(mu), op.conj().T) for mu, op in self.terms],
-        )
+        rev = reversal_signs(self.generators)[:, None, None]
+        return self._wrap(rev * np.conj(self.amp).transpose(0, 2, 1))
 
     def compose(self, other: "RegularOperator") -> "RegularOperator":
-        """Operator product self o other (term-wise bilinear)."""
-        if (self.generators, self.modes) != (other.generators, other.modes):
-            raise ValueError("operator shapes differ")
-        terms = []
-        for mu, op in self.terms:
-            for nu, oq in other.terms:
-                terms.append((gproduct(mu, nu), op @ oq))
-        return RegularOperator(self.generators, self.modes, terms)
+        """Operator product self o other: k_P k_Q (x) T_P S_Q."""
+        self._check_same(other)
+        gl, gr, go, gs = wedge_table(self.generators)
+        out = np.zeros_like(self.amp)
+        np.add.at(out, go, gs[:, None, None] * (self.amp[gl] @ other.amp[gr]))
+        return self._wrap(out)
 
     def left_gmul(self, lam: GrassmannElement) -> "RegularOperator":
-        return RegularOperator(
-            self.generators,
-            self.modes,
-            [(gproduct(lam, mu), op) for mu, op in self.terms],
-        )
-
-    def __add__(self, other: "RegularOperator") -> "RegularOperator":
-        if (self.generators, self.modes) != (other.generators, other.modes):
-            raise ValueError("operator shapes differ")
-        return RegularOperator(
-            self.generators, self.modes, list(self.terms) + list(other.terms)
-        )
-
-    def __sub__(self, other: "RegularOperator") -> "RegularOperator":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "RegularOperator":
-        s = complex(scalar)
-        return RegularOperator(
-            self.generators, self.modes, [(mu * s, op) for mu, op in self.terms]
-        )
-
-    __rmul__ = __mul__
+        """lam o self: lam k_P (x) T_P."""
+        if lam.generators != self.generators:
+            raise ValueError("generator counts differ")
+        gl, gr, go, gs = wedge_table(self.generators)
+        out = np.zeros_like(self.amp)
+        np.add.at(out, go, (gs * lam.amp[gl])[:, None, None] * self.amp[gr])
+        return self._wrap(out)
 
     def __repr__(self) -> str:
         return (

@@ -56,7 +56,7 @@ def _exp_nilpotent(op: RegularOperator, order: int) -> RegularOperator:
     term = result
     for k in range(1, order + 1):
         term = op.compose(term) * (1.0 / k)
-        if not term.terms:
+        if not term.amp.any():
             break
         result = result + term
     return result

@@ -85,6 +85,16 @@ MALFORMED = {
         "U": {"rows": 1, "cols": 1, "data": [["1", "0"]]},
         "V": {"rows": 1, "cols": 1, "data": [[0, 0]]},
     }),
+    "nan_entry": json.dumps({
+        "d": 1,
+        "U": {"rows": 1, "cols": 1, "data": [[float("nan"), 0]]},
+        "V": {"rows": 1, "cols": 1, "data": [[0, 0]]},
+    }),
+    "inf_entry": json.dumps({
+        "d": 1,
+        "U": {"rows": 1, "cols": 1, "data": [[1, 0]]},
+        "V": {"rows": 1, "cols": 1, "data": [[0, float("-inf")]]},
+    }),
     "zero_modes": json.dumps({
         "d": 0,
         "U": {"rows": 0, "cols": 0, "data": []},
@@ -94,11 +104,12 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("payload", sorted(MALFORMED))
-@pytest.mark.parametrize("command", ["check", "implement", "vacuum"])
+@pytest.mark.parametrize("command", ["check", "implement", "vacuum", "compose"])
 def test_check_malformed_json(capsys, tmp_path, command, payload):
     path = tmp_path / "garbage.json"
     path.write_text(MALFORMED[payload])
-    code, rep = run(capsys, command, "-i", str(path))
+    inputs = ("-i", str(path)) * (2 if command == "compose" else 1)
+    code, rep = run(capsys, command, *inputs)
     assert code == 2
     assert rep["exit_status"] == 2 and rep["error"]
 

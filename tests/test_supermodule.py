@@ -4,7 +4,7 @@ ultracoherent vectors, regular operators, separating families."""
 import numpy as np
 import pytest
 
-from superfock._tables import popcounts
+from superfock._tables import left_multiplication, popcounts
 from superfock.fock import FockVector
 from superfock.gaussian import exp_omega
 from superfock.grassmann import GrassmannElement, gexp, gnorm, gproduct, gstar
@@ -356,6 +356,16 @@ def test_materialize_matches_apply(rng):
     for _ in range(5):
         xi = rand_tensor(rng, g, d)
         assert np.max(np.abs(mat @ xi.flatten() - op.apply(xi).flatten())) < 1e-12
+    # independent oracle: sum_j L(mu_j) (x) T_j over the unreduced terms
+    g = 3
+    terms = [
+        (GrassmannElement(g, random_complex(rng, 1 << g)), random_complex(rng, 1 << d, 1 << d))
+        for _ in range(4)
+    ]
+    op = RegularOperator(g, d, terms)
+    oracle = sum(np.kron(left_multiplication(mu.amp, g), t) for mu, t in terms)
+    assert np.max(np.abs(op.materialize() - oracle)) < 1e-12
+    assert np.array_equal(RegularOperator(g, d, op.terms).amp, op.amp)
 
 
 def test_compose_and_lift(rng):
