@@ -61,24 +61,19 @@ def wedge_table(nbits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     every ordered pair of disjoint masks (a, b), out = a | b and
     sign = (-1)^tau(a, b).
     """
-    full = (1 << nbits) - 1
     size = 3**nbits
-    left = np.empty(size, dtype=np.int64)
-    right = np.empty(size, dtype=np.int64)
-    sign = np.empty(size, dtype=np.float64)
-    pos = 0
-    for a in range(1 << nbits):
-        comp = full ^ a
-        b = comp
-        while True:
-            left[pos] = a
-            right[pos] = b
-            sign[pos] = -1.0 if tau(a, b) & 1 else 1.0
-            pos += 1
-            if b == 0:
-                break
-            b = (b - 1) & comp
-    assert pos == size
+    left = np.zeros(size, dtype=np.int64)
+    right = np.zeros(size, dtype=np.int64)
+    sign = np.ones(size)
+    for k in range(nbits):
+        # the pairs over bits < k fill [0, n); bit k then joins a, passing
+        # every bit of b, or joins b, passing none of a
+        n = 3**k
+        a, b, s = left[:n], right[:n], sign[:n]
+        left[n : 2 * n], left[2 * n : 3 * n] = a | (1 << k), a
+        right[n : 2 * n], right[2 * n : 3 * n] = b, b | (1 << k)
+        sign[n : 2 * n] = np.where(np.bitwise_count(b) % 2, -s, s)
+        sign[2 * n : 3 * n] = s
     return left, right, left | right, sign
 
 
@@ -129,6 +124,10 @@ class FrozenArray:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through _wrap, not __setattr__
+        return type(self)._wrap, (self.amp,)
 
     def _check_same(self, other) -> None:
         if not isinstance(other, type(self)):

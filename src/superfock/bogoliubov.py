@@ -13,14 +13,17 @@ column, this is the pullback of the coherent-vector ansatz.  L, the creation
 operators and Gamma all come from the one matrix
 ``_tables.left_multiplication``.
 
-When ker U is nontrivial the construction splits along
-H = F0 + F1 = H0 + H1: a signed particle-hole block T0 maps the kernel
-factor A(F0) onto A(H0), the invertible chart of the extension
-R(U + U0, P1 V) handles A(F1), and
+Evaluated as written, the product cancels large entries once U is
+ill-conditioned.  It is therefore built in U's singular-value frame
+(Bloch-Messiah): with U = W S Z^dag and the n = dim ker U kernel modes last,
 
-    T(R)(F0 ^ F1) = (T0 F0) ^ (T1 Gamma((-1)^n Q1) F1),  n = dim ker U,
+    T(R) = Gamma(W) (PH_n (x) T_S) Gamma(Z^dag),   V' = W^dag V conj(Z),
 
-each column block being one left multiplication by a T0 column.
+where T_S is the product above for R(S, V') on the nonzero singular values,
+with Gamma(S^-1) diagonal, and PH_n = Delta(e_0) ... Delta(e_{n-1})
+Gamma((-1)^(n+1) I) implements f -> f* on the kernel modes (the high bits,
+so (x) is the Kronecker product).  The large factors of T_S are aligned, so
+the rounding error stays near eps * cond(U).
 
 Products of implementers reproduce the group only up to the cocycle phase
 chi(R2, R1) with |chi| = 1, extracted here numerically.
@@ -33,16 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import left_multiplication, popcounts, tau
+from ._tables import left_multiplication, tau
 from .errors import ChartError
 from .fock import FockVector, delta, gamma, wedge
 from .gaussian import as_skew, exp_omega, gaussian_norm, pfaffian_all_subsets
-from .orthogroup import (
-    KernelDecomposition,
-    OrthogonalTransform,
-    compose,
-    coset_coordinate,
-)
+from .orthogroup import RANK_ZERO, OrthogonalTransform, compose, coset_coordinate
 from .supermodule import RegularOperator, regular_from_fock
 
 __all__ = [
@@ -97,27 +95,55 @@ def c_norm(x: np.ndarray, rtol: float = 1e-10) -> float:
 def implement_invertible(
     r: OrthogonalTransform, cond_warn: float = 1e8
 ) -> Implementer:
-    """Implementer for the invertible-U chart as the normal-ordered product
-    c_X L(exp Omega(X)) Gamma(U^{dag -1}) C(Y)."""
-    d = r.d
-    u, v = r.u, r.v
-    cond = float(np.linalg.cond(u))
-    if not np.isfinite(cond) or 1.0 / cond < 1e-12:
+    """Implementer for invertible U, built in U's singular-value frame.
+
+    The entries carry a rounding error of about eps * cond(U): unitarity
+    and intertwining residuals stay within a small multiple of it.  Raises
+    ``ValueError`` when U is singular and warns above ``cond_warn``.
+    """
+    return _implement_in_frame(r, np.zeros((r.d, 0)), cond_warn)
+
+
+def _implement_in_frame(
+    r: OrthogonalTransform, h0: np.ndarray, cond_warn: float = 1e8
+) -> Implementer:
+    """T(R) = Gamma(W) (PH_n (x) T_S) Gamma(Z^dag) with the columns ``h0``
+    of W spanning ker U^dag; see the module docstring."""
+    d, n = r.d, h0.shape[1]
+    m = d - n
+    w, s, zh = np.linalg.svd(r.u)
+    s, smax = s[:m], s[0]
+    if m and not s[-1] > 1e-12 * smax:
         raise ValueError("U is singular; use implement_general")
+    cond = float(smax / s[-1]) if m else 1.0
     if cond > cond_warn:
         warnings.warn(
             f"U is ill-conditioned (cond = {cond:.2e}); implementer accuracy degrades",
-            stacklevel=2,
+            stacklevel=3,
         )
     rtol = max(1e-10, 64 * np.finfo(float).eps * cond)
-    u_inv = np.linalg.inv(u)
-    x = as_skew(v @ np.conj(u_inv), rtol=rtol)
-    y = as_skew(np.conj(u_inv) @ np.conj(v), rtol=rtol)
-    cx = c_norm(x, rtol=rtol)
-    gauss = left_multiplication(exp_omega(x, rtol=rtol).amp, d)
-    contract = left_multiplication(pfaffian_all_subsets(y), d).T
-    t = cx * (gauss @ gamma(u_inv.conj().T) @ contract)
-    return Implementer(matrix=t, transform=r, kernel_dim=0)
+    # V' = W^dag V conj(Z) couples only equal singular values; zeroing the
+    # rest keeps its rounding from being amplified by S^-1
+    vp = w[:, :m].conj().T @ r.v @ zh[:m].T
+    vp[np.abs(s[:, None] - s[None, :]) > RANK_ZERO * smax] = 0.0
+    x = as_skew(vp / s, rtol=rtol)
+    y = as_skew(np.conj(vp) / s[:, None], rtol=rtol)
+    gamma_s_inv = np.ones(1)
+    for sk in s:
+        gamma_s_inv = np.concatenate([gamma_s_inv, gamma_s_inv / sk])
+    gauss = left_multiplication(exp_omega(x, rtol=rtol).amp, m)
+    contract = left_multiplication(pfaffian_all_subsets(y), m).T
+    t_s = c_norm(x, rtol=rtol) * (gauss @ (gamma_s_inv[:, None] * contract))
+    ph = gamma((-1.0) ** (n + 1) * np.eye(n))
+    for k in reversed(range(n)):
+        ph = delta(np.eye(n)[k]) @ ph
+    # kernel columns of Z: V^T conj(h0) spans ker U and makes V' = I there
+    w_frame = np.hstack([w[:, :m], h0])
+    z_frame = np.hstack([zh[:m].conj().T, r.v.T @ np.conj(h0)])
+    t = gamma(w_frame) @ np.kron(ph, t_s) @ gamma(z_frame.conj().T)
+    return Implementer(
+        matrix=t, transform=r, kernel_dim=n, h0_basis=h0 if n else None
+    )
 
 
 @dataclass(frozen=True)
@@ -186,8 +212,9 @@ class RestrictedImplementer:
 def implement_restricted(r: OrthogonalTransform) -> RestrictedImplementer:
     """Isometric implementer of the invertible block R(U, P1 V)."""
     kd = r.kernel
-    _, u0, r_ext = _extension(r, kd)
-    ext = implement_invertible(r_ext)
+    t0 = t0_duality(kd.p0 @ r.v, kd.h0)
+    u0 = kd.h0 @ t0.f_basis.conj().T
+    ext = implement_invertible(OrthogonalTransform(r.u + u0, kd.p1 @ r.v))
     gamma_q1 = gamma(kd.q1)
     return RestrictedImplementer(
         matrix=ext.matrix @ gamma_q1,
@@ -198,42 +225,8 @@ def implement_restricted(r: OrthogonalTransform) -> RestrictedImplementer:
 
 
 def implement_general(r: OrthogonalTransform) -> Implementer:
-    """Implementer for arbitrary valid R, dispatching on dim ker U."""
-    kd = r.kernel
-    if kd.n == 0:
-        return implement_invertible(r)
-    return _implement_singular(r, kd)
-
-
-def _extension(
-    r: OrthogonalTransform, kd: KernelDecomposition
-) -> tuple[T0Block, np.ndarray, OrthogonalTransform]:
-    """Duality block T0, the partial isometry U0: F0 -> H0 and the
-    invertible extension R(U + U0, P1 V)."""
-    t0 = t0_duality(kd.p0 @ r.v, kd.h0)
-    u0 = kd.h0 @ t0.f_basis.conj().T
-    return t0, u0, OrthogonalTransform(r.u + u0, kd.p1 @ r.v)
-
-
-def _implement_singular(r: OrthogonalTransform, kd: KernelDecomposition) -> Implementer:
-    d, n = r.d, kd.n
-    t0, _, r_ext = _extension(r, kd)
-    t_ext = implement_invertible(r_ext).matrix
-
-    # combined unitary basis: kernel factors first, then the F1 basis
-    gamma_c = gamma(np.hstack([t0.f_basis, kd.f1]))
-    # images of the F1-basis wedges under T1 Gamma((-1)^n Q1)
-    t1_cols = t_ext @ gamma_c[:, :: 1 << n]
-    if n % 2 == 1:
-        t1_cols = t1_cols * np.where(popcounts(d - n) % 2 == 0, 1.0, -1.0)
-    # images of the kernel wedges under T0 (signed complement wedges)
-    t0_cols = t0.matrix @ gamma_c[:, : 1 << n]
-    # column k + (l << n) of the combined map is t0_cols[:, k] ^ t1_cols[:, l]
-    combined = np.empty((1 << d, 1 << d), dtype=complex)
-    for k in range(1 << n):
-        combined[:, k :: 1 << n] = left_multiplication(t0_cols[:, k], d) @ t1_cols
-    t = combined @ gamma_c.conj().T
-    return Implementer(matrix=t, transform=r, kernel_dim=n, h0_basis=kd.h0)
+    """Implementer for arbitrary valid R; the kernel of U enters the frame."""
+    return _implement_in_frame(r, r.kernel.h0)
 
 
 def intertwining_residual(r: OrthogonalTransform, t: np.ndarray) -> float:

@@ -68,6 +68,8 @@ class GrassmannElement(FrozenArray):
 
     @classmethod
     def basis(cls, generators: int, mask: int) -> "GrassmannElement":
+        if not 0 <= mask < (1 << generators):
+            raise ValueError(f"mask {mask} out of range for {generators} generators")
         amp = np.zeros(1 << generators, dtype=complex)
         amp[mask] = 1.0
         return cls(generators, amp)

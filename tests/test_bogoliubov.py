@@ -77,14 +77,15 @@ def test_implement_invertible_rejects_singular():
         bg.implement_invertible(r)
 
 
-def _pairing_block(c):
-    """Direct sum of a nearly-degenerate pairing block and an identity block;
-    cond(U) = 1/c."""
-    u = np.zeros((4, 4))
-    v = np.zeros((4, 4))
+def _pairing_block(c, d=4, n=0):
+    """Direct sum of a nearly-degenerate pairing block, an identity block and
+    the particle-hole swap on the last n modes; cond(U) on ran U^dag is 1/c."""
+    u = np.zeros((d, d))
+    v = np.zeros((d, d))
     u[:2, :2] = c * np.eye(2)
     v[:2, :2] = np.sqrt(1 - c**2) * J2
-    u[2:, 2:] = np.eye(2)
+    u[2 : d - n, 2 : d - n] = np.eye(d - n - 2)
+    v[d - n :, d - n :] = np.eye(n)
     return og.OrthogonalTransform(u, v)
 
 
@@ -99,6 +100,23 @@ def test_implement_invertible_warns_when_ill_conditioned():
     impl = bg.implement_invertible(r)
     assert impl.unitarity_residual() < 1e-12
     assert bg.intertwining_residual(r, impl.matrix) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_ill_conditioned_blocks_in_generic_orientation(d, n):
+    # the frame construction's rounding error is about eps * cond(U), so the
+    # bound follows cond(U) rather than a fixed tolerance
+    rng = np.random.default_rng(d + n)
+    for cond in 10.0 ** np.arange(2, 8):
+        block = _pairing_block(1 / cond, d, n)
+        w, s = og.haar_unitary(d, rng), og.haar_unitary(d, rng)
+        r = og.OrthogonalTransform(w @ block.u @ s, w @ block.v @ np.conj(s))
+        impl = bg.implement_general(r)
+        bound = 64 * np.finfo(float).eps * cond
+        assert impl.kernel_dim == n
+        assert impl.unitarity_residual() <= bound
+        assert bg.intertwining_residual(r, impl.matrix) <= bound
 
 
 def test_unitarity_and_intertwining_random(rng):

@@ -1,5 +1,6 @@
 """Batch CLI: file formats, exit codes, determinism, round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -157,6 +158,22 @@ def test_implement_reports_exponential_cost(capsys, tmp_path):
     assert any("exponential cost" in w for w in rep["warnings"])
 
 
+def test_implement_ill_conditioned_generic_block(capsys, tmp_path):
+    # cond(U) = 1e3 at d = 8, rotated off the axes: a valid input that the
+    # default residual gate accepts
+    d, c = 8, 1e-3
+    rng = np.random.default_rng(0)
+    u, v = np.eye(d), np.zeros((d, d))
+    u[:2, :2] = c * np.eye(2)
+    v[:2, :2] = np.sqrt(1 - c**2) * J2
+    w, s = og.haar_unitary(d, rng), og.haar_unitary(d, rng)
+    path = write_transform(tmp_path / "cond.json", w @ u @ s, w @ v @ np.conj(s))
+    code, rep = run(capsys, "implement", "-i", path)
+    assert code == 0
+    assert rep["residuals"]["unitarity"] < rep["tol"]
+    assert rep["residuals"]["intertwining"] < rep["tol"]
+
+
 def test_compose_inverse_pair(capsys, tmp_path, rng):
     r = og.random_transform(2, rng)
     ri = og.inverse(r)
@@ -192,20 +209,24 @@ def test_compose_dimension_mismatch(capsys, tmp_path, identity_file, swap_file):
     assert "exactly two" in rep["error"]
 
 
-def test_compose_reports_non_scalar_product(capsys, tmp_path):
-    # cond(U) = 1e5 in generic orientation: the invertible chart loses enough
-    # accuracy that T(A) T(B) is no longer a multiple of T(AB)
+def test_compose_reports_non_scalar_product(capsys, tmp_path, monkeypatch):
+    # a composed implementer with one column negated is no multiple of T(A) T(B)
     rng = np.random.default_rng(0)
-    c = 1e-5
-    u = np.zeros((4, 4))
-    v = np.zeros((4, 4))
-    u[:2, :2] = c * np.eye(2)
-    v[:2, :2] = np.sqrt(1 - c**2) * J2
-    u[2:, 2:] = np.eye(2)
-    w, s = og.haar_unitary(4, rng), og.haar_unitary(4, rng)
-    f1 = write_transform(tmp_path / "a.json", w @ u @ s, w @ v @ np.conj(s))
-    r = og.random_transform(4, rng)
-    f2 = write_transform(tmp_path / "b.json", r.u, r.v)
+    ra, rb = og.random_transform(4, rng), og.random_transform(4, rng)
+    composed = og.compose(ra, rb)
+    build = bg.implement_general
+
+    def corrupted(r):
+        impl = build(r)
+        if np.allclose(r.u, composed.u) and np.allclose(r.v, composed.v):
+            matrix = impl.matrix.copy()
+            matrix[:, 1] *= -1.0
+            impl = dataclasses.replace(impl, matrix=matrix)
+        return impl
+
+    monkeypatch.setattr(bg, "implement_general", corrupted)
+    f1 = write_transform(tmp_path / "a.json", ra.u, ra.v)
+    f2 = write_transform(tmp_path / "b.json", rb.u, rb.v)
     code, rep = run(capsys, "compose", "-i", f1, "-i", f2)
     assert code == 1
     assert "not a scalar multiple" in rep["error"]

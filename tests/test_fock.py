@@ -15,7 +15,7 @@ from superfock.fock import (
     tau,
     wedge,
 )
-from superfock._tables import mask_indices, popcounts
+from superfock._tables import mask_indices, popcounts, wedge_table
 from superfock.orthogroup import haar_unitary
 
 from conftest import random_complex
@@ -31,6 +31,18 @@ def test_tau_counts_inversions():
     assert tau(0b0101, 0b1010) == 1  # {1,3} vs {2,4}: only (3,2) inverts
     assert tau(0, 0b111) == 0
     assert tau(0b111, 0) == 0
+    # the wedge table holds every disjoint pair once, signed by tau
+    for n in range(7):
+        left, right, out, sign = wedge_table(n)
+        table = set(zip(left.tolist(), right.tolist(), sign.tolist()))
+        expected = {
+            (a, b, (-1.0) ** tau(a, b))
+            for a in range(1 << n)
+            for b in range(1 << n)
+            if not a & b
+        }
+        assert len(left) == 3**n and table == expected
+        assert np.array_equal(out, left | right)
 
 
 def test_wedge_on_basis_tensors():

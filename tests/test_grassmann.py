@@ -125,6 +125,9 @@ def test_gexp_truncation_and_unit():
 
 def test_gexp_rejects_other_degrees():
     g = 3
+    for mask in (-1, 1 << g):
+        with pytest.raises(ValueError, match="out of range"):
+            GrassmannElement.basis(g, mask)
     with pytest.raises(ValueError):
         gexp(GrassmannElement.generator(g, 0))
     mixed = GrassmannElement.unit(g) + GrassmannElement.basis(g, 0b011)

@@ -1,6 +1,9 @@
 """Module Fock space: products, Grassmann-valued inner product, coherent and
 ultracoherent vectors, regular operators, separating families."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -485,3 +488,27 @@ def test_fock_factor_reconstructed_from_coherent_values(rng):
     values = slices @ t.T  # stacked slices of (k_0 (x) T) exp zeta_i
     recovered, *_ = np.linalg.lstsq(slices, values, rcond=None)
     assert np.max(np.abs(recovered.T - t)) < 1e-10
+
+
+VALUE_CLASSES = {
+    "FockVector": lambda rng: FockVector(2, random_complex(rng, 4)),
+    "GrassmannElement": lambda rng: GrassmannElement(2, random_complex(rng, 4)),
+    "ModuleTensor": lambda rng: rand_tensor(rng, 2, 2),
+    "SuperVector": lambda rng: rand_supervector(rng, 2, 2),
+    "RegularOperator": lambda rng: rand_regular(rng, 2, 2),
+}
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize("cls", sorted(VALUE_CLASSES))
+def test_value_classes_copy_and_pickle(cls, how, rng):
+    obj = VALUE_CLASSES[cls](rng)
+    back = ROUND_TRIPS[how](obj)
+    assert type(back) is type(obj)
+    assert np.array_equal(back.amp, obj.amp)
+    assert not back.amp.flags.writeable
