@@ -85,6 +85,22 @@ def antisymmetric_product(f: np.ndarray, g: np.ndarray, nbits: int) -> np.ndarra
     return result
 
 
+def create_apply(f: np.ndarray, amp: np.ndarray, nbits: int) -> np.ndarray:
+    """f ^ F for a degree-1 f and the amplitudes ``amp`` of F.
+
+    For each bit k, e_k ^ e_B = (-1)^|B below k| e_{B | k} on the masks B
+    without bit k: exactly the ``wedge_table`` entries with left == 1 << k,
+    applied blockwise in O(nbits 2**nbits) time and O(2**nbits) memory.
+    """
+    out = np.zeros(len(amp), dtype=complex)
+    parity = 1.0 - 2.0 * (popcounts(nbits) & 1)
+    for k in range(nbits):
+        # axes: the higher bits, bit k, the 2**k lower bits
+        src, dst = amp.reshape(-1, 2, 1 << k), out.reshape(-1, 2, 1 << k)
+        dst[:, 1] += f[k] * parity[: 1 << k] * src[:, 0]
+    return out
+
+
 def left_multiplication(g: np.ndarray, nbits: int) -> np.ndarray:
     """Dense matrix of F -> g ^ F over the subset basis.
 
@@ -150,16 +166,4 @@ class FrozenArray:
         return self._wrap(self.amp * complex(scalar))
 
     __rmul__ = __mul__
-
-
-def mask_indices(mask: int) -> list[int]:
-    """Ascending list of set bit positions."""
-    out = []
-    k = 0
-    while mask:
-        if mask & 1:
-            out.append(k)
-        mask >>= 1
-        k += 1
-    return out
 

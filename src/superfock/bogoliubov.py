@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import left_multiplication, tau
+from ._tables import create_apply, left_multiplication, popcounts, tau
 from .errors import ChartError
-from .fock import FockVector, delta, gamma, wedge
+from .fock import FockVector, delta, gamma
 from .gaussian import as_skew, exp_omega, gaussian_norm, pfaffian_all_subsets
 from .orthogroup import RANK_ZERO, OrthogonalTransform, compose, coset_coordinate
 from .supermodule import RegularOperator, regular_from_fock
@@ -230,15 +230,20 @@ def implement_general(r: OrthogonalTransform) -> Implementer:
 
 
 def intertwining_residual(r: OrthogonalTransform, t: np.ndarray) -> float:
-    """max over real basis directions f of |T Delta(f) T^dag - Delta(Rf)|."""
+    """max over real basis directions f of |T Delta(f) T^dag - Delta(Rf)|.
+
+    Delta(e_k) e_B = +-e_{B ^ k} and Delta(i e_k) e_B = +-i e_{B ^ k} are
+    signed permutations, so T Delta(f) is a signed column gather of T.
+    """
     t = np.asarray(t, dtype=complex)
-    d = r.d
+    masks = np.arange(1 << r.d)
+    parity = 1.0 - 2.0 * (popcounts(r.d) & 1)
     worst = 0.0
-    for k in range(d):
-        for f in (np.eye(d)[k], 1j * np.eye(d)[k]):
-            lhs = t @ delta(f) @ t.conj().T
-            rhs = delta(r.act(f))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    for k, e in enumerate(np.eye(r.d)):
+        below = parity[masks & ((1 << k) - 1)]
+        for f, sign in ((e, below * (1 - 2 * (masks >> k & 1))), (1j * e, 1j * below)):
+            lhs = (t[:, masks ^ (1 << k)] * sign) @ t.conj().T
+            worst = max(worst, float(np.max(np.abs(lhs - delta(r.act(f))))))
     return worst
 
 
@@ -303,15 +308,13 @@ def vacuum_orbit(r: OrthogonalTransform) -> VacuumOrbit:
     """Vacuum orbit vector of R, phase-fixed by the kernel-basis wedge."""
     kd = r.kernel
     cp = coset_coordinate(r)
-    theta = c_norm(cp.x) * exp_omega(cp.x)
-    if kd.n == 0:
-        vec = theta
-        overlap = float(np.real(vec.amp[0]))
-    else:
-        vec = wedge(FockVector.wedge_of(kd.h0.T), theta)
-        overlap = 0.0
+    # h0_1 ^ ... ^ h0_n ^ theta; a+ never fills the vacuum amplitude
+    amp = c_norm(cp.x) * exp_omega(cp.x).amp
+    for h in reversed(kd.h0.T):
+        amp = create_apply(h, amp, r.d)
     return VacuumOrbit(
-        vector=vec, x=cp.x, kernel_dim=kd.n, h0_basis=kd.h0, overlap=overlap
+        vector=FockVector._wrap(amp), x=cp.x, kernel_dim=kd.n, h0_basis=kd.h0,
+        overlap=float(np.real(amp[0])),
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bogoliubov as bg
 from . import orthogroup as og
-from .errors import RankAmbiguityError
+from .errors import RankAmbiguityError, SkewnessError
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -34,7 +34,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        "data": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist(),
     }
 
 
@@ -50,7 +50,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def vector_to_json(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+    v = np.asarray(v, dtype=complex)
+    return np.stack([v.real, v.imag], -1).reshape(-1, 2).tolist()
 
 
 def load_transform(path: str) -> tuple[int, np.ndarray, np.ndarray]:
@@ -150,8 +151,9 @@ def cmd_implement(args: argparse.Namespace) -> int:
     if args.out:
         payload = {"d": d, "dim": 1 << d, "T": matrix_to_json(impl.matrix)}
         try:
+            # json.dumps takes the C encoder; json.dump streams through Python
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                fh.write(json.dumps(payload, sort_keys=True))
         except OSError as exc:
             report["error"] = str(exc)
             return _emit(report, EXIT_IO)
@@ -219,6 +221,9 @@ def cmd_vacuum(args: argparse.Namespace) -> int:
     except RankAmbiguityError as exc:
         report["error"] = str(exc)
         return _emit(report, EXIT_AMBIGUOUS)
+    except SkewnessError as exc:
+        report["error"] = f"coset coordinate: {exc}"
+        return _emit(report, EXIT_INVALID)
     report["amplitudes"] = vector_to_json(vo.vector.amp)
     report["overlap"] = vo.overlap
     report["norm"] = vo.norm()

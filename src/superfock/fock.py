@@ -21,6 +21,7 @@ import numpy as np
 from ._tables import (
     FrozenArray,
     antisymmetric_product,
+    create_apply,
     left_multiplication,
     popcounts,
     reversal_signs,
@@ -92,15 +93,15 @@ class FockVector(FrozenArray):
 
     @classmethod
     def wedge_of(cls, vectors) -> "FockVector":
-        """Exterior product f_1 ^ ... ^ f_n of one-particle vectors."""
-        vectors = [np.asarray(v, dtype=complex) for v in vectors]
-        if not vectors:
-            raise ValueError("need at least one vector (use vacuum() for none)")
-        d = vectors[0].shape[0]
-        out = cls.vacuum(d)
-        for v in vectors:
-            out = wedge(out, cls.from_vector(v))
-        return out
+        """Exterior product f_1 ^ ... ^ f_n = a+(f_1) ... a+(f_n) |0> of
+        one-particle vectors, one creation update per vector."""
+        vectors = np.asarray(vectors, dtype=complex)  # ragged input raises
+        if vectors.ndim != 2 or not len(vectors):
+            raise ValueError("need one or more equal-length vectors (use vacuum() for none)")
+        amp = cls.vacuum(vectors.shape[1]).amp
+        for v in vectors[::-1]:
+            amp = create_apply(v, amp, len(v))
+        return cls._wrap(amp)
 
     # -- structure ---------------------------------------------------------
 

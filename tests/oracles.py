@@ -1,17 +1,31 @@
 """Independent brute-force oracles used only by the tests.
 
 Each oracle reaches the same quantity as the library along a different
-route: Pfaffians by explicit perfect-matching sums, Gaussian exponentials by
-the wedge power series, invertible-chart implementers by exponentiating a
-quadratic generator, coherent amplitudes by minors of the coefficient
-matrix.
+route: Pfaffians by explicit perfect-matching sums and by expansion along
+the smallest index, Gaussian exponentials by the wedge power series,
+invertible-chart implementers by exponentiating a quadratic generator,
+coherent amplitudes by minors of the coefficient matrix, intertwining
+residuals by dense field-difference matrices.
 """
 
 import numpy as np
 import scipy.linalg
 
-from superfock.fock import FockVector, create, wedge
+from superfock._tables import popcounts
+from superfock.fock import FockVector, create, delta, wedge
 from superfock.gaussian import omega, skew_canonical
+
+
+def mask_indices(mask: int) -> list[int]:
+    """Ascending list of set bit positions."""
+    out = []
+    k = 0
+    while mask:
+        if mask & 1:
+            out.append(k)
+        mask >>= 1
+        k += 1
+    return out
 
 
 def permutation_sign(perm) -> int:
@@ -50,6 +64,40 @@ def pfaffian_matchings(m: np.ndarray) -> complex:
             term = term * m[i, j]
         total += term
     return total
+
+
+def pfaffian_all_subsets_loop(x: np.ndarray) -> np.ndarray:
+    """Subset Pfaffians by expansion along the smallest index, one mask at
+    a time in increasing order."""
+    x = np.asarray(x, dtype=complex)
+    d = x.shape[0]
+    p = popcounts(d)
+    pf = np.zeros(1 << d, dtype=complex)
+    pf[0] = 1.0
+    for mask in range(1, 1 << d):
+        if p[mask] % 2:
+            continue
+        idx = mask_indices(mask)
+        i = idx[0]
+        acc = 0.0 + 0.0j
+        sign = 1.0
+        for j in idx[1:]:
+            acc += sign * x[i, j] * pf[mask & ~(1 << i) & ~(1 << j)]
+            sign = -sign
+        pf[mask] = acc
+    return pf
+
+
+def intertwining_residual_dense(r, t: np.ndarray) -> float:
+    """max over f in {e_k, i e_k} of |T Delta(f) T^dag - Delta(Rf)|, with
+    every Delta a dense matrix."""
+    d = r.d
+    worst = 0.0
+    for k in range(d):
+        for f in (np.eye(d)[k], 1j * np.eye(d)[k]):
+            lhs = t @ delta(f) @ t.conj().T
+            worst = max(worst, float(np.max(np.abs(lhs - delta(r.act(f))))))
+    return worst
 
 
 def exp_omega_series(x: np.ndarray) -> FockVector:

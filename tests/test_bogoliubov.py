@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import superfock.orthogroup as og
+from superfock import _tables
 from superfock import bogoliubov as bg
 from superfock.errors import ChartError
 from superfock.fock import FockVector, delta, gamma, wedge
-from superfock.gaussian import exp_omega, gaussian_norm
+from superfock.gaussian import exp_omega, gaussian_norm, overlap_det
 from superfock.grassmann import gexp
 from superfock.supermodule import (
     SuperVector,
@@ -20,7 +21,7 @@ from superfock.supermodule import (
 from superfock.weyl import weyl
 
 from conftest import random_complex
-from oracles import quadratic_generator_implementer
+from oracles import intertwining_residual_dense, quadratic_generator_implementer
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -164,6 +165,16 @@ def test_intertwining_residual_reference_cases(rng):
     bad = t.copy()
     bad[0, 0] *= -1.0
     assert bg.intertwining_residual(r, bad) > 0.1
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_intertwining_residual_matches_dense_formula(d, rng):
+    for n in range(min(d, 2) + 1):
+        r = og.random_transform(d, rng, kernel_dim=n)
+        t = bg.implement_general(r).matrix
+        for m in (t, t + 1e-3 * random_complex(rng, *t.shape)):
+            got = bg.intertwining_residual(r, m)
+            assert abs(got - intertwining_residual_dense(r, m)) <= 1e-13
 
 
 def test_t0_duality_block(rng):
@@ -416,6 +427,27 @@ def test_vacuum_orbit_matches_implementer(rng):
                 assert abs(vo.overlap - gaussian_norm(vo.x) ** (-0.5)) < 1e-11
             else:
                 assert abs(np.vdot(FockVector.vacuum(d).amp, vo.vector.amp)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_vacuum_orbit_matches_wedge_table_path(n, rng):
+    d = 10
+    r = og.random_transform(d, rng, kernel_dim=n)
+    vo = bg.vacuum_orbit(r)
+    want = bg.c_norm(vo.x) * exp_omega(vo.x)
+    for h in reversed(vo.h0_basis.T):
+        want = wedge(FockVector.from_vector(h), want)
+    assert np.max(np.abs(vo.vector.amp - want.amp)) <= 1e-12 * np.max(np.abs(want.amp))
+
+
+def test_orbit_path_builds_no_wedge_table(rng):
+    d = 10
+    r = og.random_transform(d, rng, kernel_dim=2)
+    x, y = og.random_skew(d, rng), og.random_skew(d, rng)
+    _tables.wedge_table.cache_clear()
+    bg.vacuum_orbit(r)
+    overlap_det(x, y)
+    assert _tables.wedge_table.cache_info().currsize == 0
 
 
 def test_vacuum_orbit_coset_invariance(rng):

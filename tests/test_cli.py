@@ -8,7 +8,8 @@ import pytest
 
 import superfock.orthogroup as og
 from superfock import bogoliubov as bg
-from superfock.cli import main, matrix_from_json, matrix_to_json
+from superfock import cli
+from superfock.cli import load_transform, main, matrix_from_json, matrix_to_json
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -244,6 +245,59 @@ def test_vacuum_identity_and_bcs(capsys, identity_file, bcs_file):
     assert abs(rep["overlap"] - np.cos(np.pi / 4)) < 1e-12
     x = matrix_from_json(rep["coset_X"])
     assert np.max(np.abs(x - np.tan(np.pi / 4) * J2)) < 1e-12
+
+
+def test_vacuum_reports_lost_skewness(capsys, tmp_path):
+    # Haar-rotated d = 6, n = 1 pairing block at cond(U) = 1e6: X = V conj(U)^+
+    # is formed in the original frame and fails the skewness check
+    d, n, c = 6, 1, 1e-6
+    rng = np.random.default_rng(0)
+    u, v = np.zeros((d, d)), np.zeros((d, d))
+    u[:2, :2] = c * np.eye(2)
+    v[:2, :2] = np.sqrt(1 - c**2) * J2
+    u[2 : d - n, 2 : d - n] = np.eye(d - n - 2)
+    v[d - n :, d - n :] = np.eye(n)
+    w, s = og.haar_unitary(d, rng), og.haar_unitary(d, rng)
+    path = write_transform(tmp_path / "cond.json", w @ u @ s, w @ v @ np.conj(s))
+    code, rep = run(capsys, "vacuum", "-i", path)
+    assert code == 1 and rep["exit_status"] == 1
+    assert "skew" in rep["error"]
+
+
+def _old_matrix_to_json(m):
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+
+
+def _old_vector_to_json(v):
+    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+
+
+def test_json_output_bytes_match_per_entry_encoder(capsys, tmp_path, monkeypatch):
+    # the vectorized encoders and the C encoder write the bytes the per-entry
+    # lists and the streaming json.dump wrote, -0.0 included
+    r = og.random_transform(3, np.random.default_rng(0), kernel_dim=1)
+    path = write_transform(tmp_path / "r.json", r.u, r.v)
+    out = tmp_path / "T.json"
+    assert main(["implement", "-i", path, "-o", str(out)]) == 0
+    capsys.readouterr()
+    d, u, v = load_transform(path)
+    t = bg.implement_general(og.OrthogonalTransform(u, v)).matrix
+    ref = tmp_path / "ref.json"
+    with open(ref, "w", encoding="utf-8") as fh:
+        json.dump({"d": d, "dim": 1 << d, "T": _old_matrix_to_json(t)}, fh, sort_keys=True)
+    assert "-0.0" in out.read_text()
+    assert out.read_bytes() == ref.read_bytes()
+    for argv in (["vacuum", "-i", path], ["compose", "-i", path, "-i", path]):
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "matrix_to_json", _old_matrix_to_json)
+            patch.setattr(cli, "vector_to_json", _old_vector_to_json)
+            assert main(argv) == 0
+        assert "-0.0" in report
+        assert report == capsys.readouterr().out
 
 
 def test_vacuum_swap(capsys, swap_file):

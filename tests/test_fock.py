@@ -15,10 +15,11 @@ from superfock.fock import (
     tau,
     wedge,
 )
-from superfock._tables import mask_indices, popcounts, wedge_table
+from superfock._tables import antisymmetric_product, create_apply, popcounts, wedge_table
 from superfock.orthogroup import haar_unitary
 
 from conftest import random_complex
+from oracles import mask_indices
 
 
 def basis(d, mask):
@@ -56,6 +57,9 @@ def test_wedge_on_basis_tensors():
 def test_wedge_mismatch_raises():
     with pytest.raises(ValueError):
         wedge(FockVector.vacuum(2), FockVector.vacuum(3))
+    for vectors in ([], [np.ones(2), np.ones(3)]):
+        with pytest.raises(ValueError):
+            FockVector.wedge_of(vectors)
 
 
 def test_wedge_bilinear(rng):
@@ -156,6 +160,18 @@ def test_creation_is_wedge(rng):
     lhs = create(f) @ g.amp
     rhs = wedge(FockVector.from_vector(f), g).amp
     assert np.max(np.abs(lhs - rhs)) < 1e-13
+    assert np.max(np.abs(create_apply(f, g.amp, d) - rhs)) < 1e-13
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_wedge_of_matches_wedge_table_chain(d, rng):
+    for n in range(1, min(d, 3) + 1):
+        vectors = random_complex(rng, n, d)
+        chain = FockVector.vacuum(d).amp
+        for v in vectors:
+            chain = antisymmetric_product(chain, FockVector.from_vector(v).amp, d)
+        got = FockVector.wedge_of(vectors).amp
+        assert np.max(np.abs(got - chain)) <= 1e-13 * np.max(np.abs(chain))
 
 
 def test_car_anticommutators(rng):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from superfock.errors import SkewnessError
 from superfock.fock import FockVector, bilinear, inner, wedge
@@ -12,11 +14,17 @@ from superfock.gaussian import (
     omega,
     overlap_det,
     pfaffian,
+    pfaffian_all_subsets,
     skew_canonical,
 )
 from superfock.orthogroup import random_skew
 
-from oracles import exp_omega_series, pfaffian_matchings
+from oracles import (
+    exp_omega_series,
+    mask_indices,
+    pfaffian_all_subsets_loop,
+    pfaffian_matchings,
+)
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -52,6 +60,51 @@ def test_pfaffian_against_matching_sum(rng):
     for d in (2, 4, 6):
         x = random_skew(d, rng)
         assert abs(pfaffian(x) - pfaffian_matchings(x)) < 1e-11
+
+
+@pytest.mark.parametrize("d", range(11))
+def test_subset_pfaffians_match_smallest_index_loop(d, rng):
+    x = random_skew(d, rng, scale=1.0)
+    pf = pfaffian_all_subsets(x)
+    want = pfaffian_all_subsets_loop(x)
+    assert np.max(np.abs(pf - want)) <= 1e-12 * np.max(np.abs(want))
+    odd = [m for m in range(1 << d) if m.bit_count() % 2]
+    assert np.all(pf[odd] == 0.0)
+
+
+def test_subset_pfaffians_against_matching_sums(rng):
+    for d in range(7):
+        x = random_skew(d, rng)
+        pf = pfaffian_all_subsets(x)
+        for mask in range(1 << d):
+            idx = mask_indices(mask)
+            assert abs(pf[mask] - pfaffian_matchings(x[np.ix_(idx, idx)])) < 1e-12
+
+
+def test_subset_pfaffians_at_twenty_modes(rng):
+    x = random_skew(20, rng, scale=1.0)
+    pf = pfaffian_all_subsets(x)
+    det = np.linalg.det(x)
+    assert pf.shape == (1 << 20,)
+    assert abs(pf[-1] ** 2 - det) <= 1e-10 * abs(det)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_subset_pfaffians_square_to_minors(data):
+    d = data.draw(st.integers(0, 8))
+    parts = data.draw(arrays(float, (2, d, d), elements=st.floats(-2.0, 2.0)))
+    z = parts[0] + 1j * parts[1]
+    x = z - z.T
+    mask = data.draw(
+        st.integers(0, (1 << d) - 1).filter(lambda m: m.bit_count() % 2 == 0)
+    )
+    idx = mask_indices(mask)
+    xa = x[np.ix_(idx, idx)]
+    det = np.linalg.det(xa) if idx else 1.0
+    # Hadamard's bound on |det X_A| sets the rounding scale of both sides
+    scale = max(1.0, float(np.prod(np.linalg.norm(xa, axis=0))))
+    assert abs(pfaffian_all_subsets(x)[mask] ** 2 - det) <= 1e-12 * scale
 
 
 def test_omega_zero_and_defining_identity(rng):
