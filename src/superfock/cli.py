@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
         p.add_argument("--strict-notation", action="store_true",
                        help="record index-set conventions of the duality block in the report")
-        p.add_argument("--format", choices=["json"], default="json")
 
     p = sub.add_parser("check", help="validate a transform, report kernel and component")
     common(p)

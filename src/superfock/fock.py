@@ -116,7 +116,8 @@ class FockVector(FrozenArray):
         return np.unique(p[self.amp != 0])
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amp))
+        # np.sum, not a BLAS call: waking an idle BLAS thread pool costs ms
+        return float(np.sqrt(np.sum(self.amp.real**2) + np.sum(self.amp.imag**2)))
 
     def __repr__(self) -> str:
         terms = np.count_nonzero(self.amp)
@@ -137,7 +138,7 @@ def star(f: FockVector) -> FockVector:
 def inner(f: FockVector, g: FockVector) -> complex:
     """Hermitian inner product (F | G), antilinear in the first argument."""
     f._check_same(g)
-    return complex(np.vdot(f.amp, g.amp))
+    return complex(np.sum(np.conj(f.amp) * g.amp))  # np.sum, not a BLAS call
 
 
 def bilinear(f: FockVector, g: FockVector) -> complex:
@@ -169,8 +170,9 @@ def gamma(b: np.ndarray) -> np.ndarray:
     Maps the vacuum to itself and f_1 ^ ... ^ f_n to (b f_1) ^ ... ^ (b f_n);
     the entry between e_A and e_B is the minor det b[A, B].  Built by the
     recursion Gamma(b) e_A = (b e_k) ^ Gamma(b) e_{A - k}, k the lowest bit
-    of A, one matmul per k: numpy's determinants go through exp(log|det|),
-    whose rounding the implementer's cancellations would amplify.
+    of A, one creation update of a column block per k: numpy's determinants
+    go through exp(log|det|), whose rounding the implementer's cancellations
+    would amplify.
     """
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -181,7 +183,7 @@ def gamma(b: np.ndarray) -> np.ndarray:
     op[0, 0] = 1.0
     for k in reversed(range(d)):
         rest = np.arange(0, dim, 2 << k)  # masks with every bit above k
-        op[:, rest | (1 << k)] = create(b[:, k]) @ op[:, rest]
+        op[:, rest | (1 << k)] = create_apply(b[:, k], op[:, rest], d)
     return op
 
 

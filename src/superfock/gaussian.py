@@ -206,7 +206,7 @@ def overlap_det(x: np.ndarray, y: np.ndarray, rtol: float = 1e-10) -> complex:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     pfx = pfaffian_all_subsets(x)
     pfy = pfaffian_all_subsets(y)
-    return complex(np.vdot(pfx, pfy))
+    return complex(np.sum(np.conj(pfx) * pfy))  # np.sum, not a BLAS call
 
 
 def gaussian_norm(x: np.ndarray, rtol: float = 1e-10) -> float:

@@ -18,6 +18,7 @@ from ._tables import (
     FrozenArray,
     antisymmetric_product,
     factorials,
+    parity_class,
     popcounts,
     reversal_signs,
 )
@@ -120,13 +121,7 @@ def gparity(lam: GrassmannElement) -> str:
 
     Zero is reported as 'even' (empty odd support).
     """
-    p = popcounts(lam.generators)
-    nz = lam.amp != 0
-    has_even = bool(np.any(nz & (p % 2 == 0)))
-    has_odd = bool(np.any(nz & (p % 2 == 1)))
-    if has_even and has_odd:
-        return "mixed"
-    return "odd" if has_odd else "even"
+    return parity_class(lam.amp, popcounts(lam.generators))
 
 
 def gexp(lam: GrassmannElement) -> GrassmannElement:

@@ -17,6 +17,9 @@ are stored as a (2**G, 2**d) array.  It carries
 
 The module norm weights the generator index with the graded Grassmann norm:
 |Xi|^2 = sum_{P,A} (|P|!)^-2 |Xi[P,A]|^2.
+
+Each product is one ``_tables.antisymmetric_product`` over the generator
+index, pairing vector- or operator-valued amplitudes.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import numpy as np
 
 from ._tables import (
     FrozenArray,
+    antisymmetric_product,
     factorials,
+    left_multiplication,
+    parity_class,
     popcounts,
     reversal_signs,
-    wedge_table,
 )
 from .fock import FockVector, create
 from .gaussian import exp_omega
@@ -105,12 +110,7 @@ class ModuleTensor(FrozenArray):
     def parity(self) -> str:
         """'even'/'odd'/'mixed' by the total degree p + n of the support."""
         p = popcounts(self.generators)[:, None] + popcounts(self.modes)[None, :]
-        nz = self.amp != 0
-        has_even = bool(np.any(nz & (p % 2 == 0)))
-        has_odd = bool(np.any(nz & (p % 2 == 1)))
-        if has_even and has_odd:
-            return "mixed"
-        return "odd" if has_odd else "even"
+        return parity_class(self.amp, p)
 
     def fock_degree(self, n: int) -> "ModuleTensor":
         keep = popcounts(self.modes) == n
@@ -158,37 +158,26 @@ def mproduct(theta: ModuleTensor, xi: ModuleTensor) -> ModuleTensor:
     xi and parity-homogeneous Theta.
     """
     theta._check_same(xi)
-    gl, gr, go, gs = wedge_table(theta.generators)
-    fl, fr, fo, fs = wedge_table(theta.modes)
-    contrib = (
-        (gs[:, None] * fs[None, :])
-        * theta.amp[gl[:, None], fl[None, :]]
-        * xi.amp[gr[:, None], fr[None, :]]
-    )
-    out = np.zeros((1 << theta.generators, 1 << theta.modes), dtype=complex)
-    np.add.at(out, (go[:, None], fo[None, :]), contrib)
-    return ModuleTensor(theta.generators, theta.modes, out)
+
+    def fock_rows(a, b):  # the Fock product of paired rows
+        return antisymmetric_product(a.T, b.T, theta.modes).T
+
+    return ModuleTensor._wrap(antisymmetric_product(theta.amp, xi.amp, theta.generators, fock_rows))
 
 
 def lambda_inner(theta: ModuleTensor, xi: ModuleTensor) -> GrassmannElement:
     """Grassmann-valued inner product with (theta | xi)* = (xi | theta)."""
     theta._check_same(xi)
-    pairings = np.conj(theta.amp) @ xi.amp.T  # [P, Q] = sum_A conj(Th[P,A]) Xi[Q,A]
-    gl, gr, go, gs = wedge_table(theta.generators)
-    rev = reversal_signs(theta.generators)
-    out = np.zeros(1 << theta.generators, dtype=complex)
-    np.add.at(out, go, gs * rev[gl] * pairings[gl, gr])
-    return GrassmannElement(theta.generators, out)
+    g = theta.generators
+    starred = reversal_signs(g)[:, None] * theta.amp  # k_P* = rev[P] k_P
+    return GrassmannElement._wrap(antisymmetric_product(starred, xi.amp, g, np.vecdot))
 
 
 def gmul(lam: GrassmannElement, xi: ModuleTensor) -> ModuleTensor:
     """Left multiplication by a Grassmann element: lam o xi."""
     if lam.generators != xi.generators:
         raise ValueError("generator counts differ")
-    gl, gr, go, gs = wedge_table(xi.generators)
-    out = np.zeros_like(xi.amp)
-    np.add.at(out, go, (gs * lam.amp[gl])[:, None] * xi.amp[gr, :])
-    return ModuleTensor(xi.generators, xi.modes, out)
+    return ModuleTensor._wrap(antisymmetric_product(lam.amp[:, None], xi.amp, xi.generators))
 
 
 def weighted_norm(xi: ModuleTensor, alpha: float) -> float:
@@ -267,14 +256,7 @@ class SuperVector(FrozenArray):
 def super_inner(xi: SuperVector, eta: SuperVector) -> GrassmannElement:
     """(xi | eta) as a degree-2 Grassmann element; (xi|eta)* = (eta|xi)."""
     xi._check_same(eta)
-    g = xi.generators
-    pair = np.conj(xi.coeff) @ eta.coeff.T  # [m, m'] over generators
-    anti = pair - pair.T
-    amp = np.zeros(1 << g, dtype=complex)
-    for a in range(g):
-        for b in range(a + 1, g):
-            amp[(1 << a) | (1 << b)] = anti[a, b]
-    return GrassmannElement(g, amp)
+    return lambda_inner(xi.to_module(), eta.to_module())
 
 
 def super_pairing(xi: SuperVector, op: np.ndarray, eta: SuperVector) -> GrassmannElement:
@@ -306,7 +288,7 @@ class RegularOperator(FrozenArray):
     ``amp[P]`` is the Fock operator T_P paired with the Grassmann basis
     element k_P, and (k_P (x) T)(lam (x) F) = k_P lam (x) T F.  A sum of
     terms mu_j (x) T_j reduces to T_P = sum_j mu_j[P] T_j, so products and
-    the dense matrix follow from the wedge table.
+    the dense matrix are graded products over the generator index.
     """
 
     __slots__ = ()
@@ -345,23 +327,18 @@ class RegularOperator(FrozenArray):
     def apply(self, xi: ModuleTensor) -> ModuleTensor:
         if (xi.generators, xi.modes) != (self.generators, self.modes):
             raise ValueError("tensor shape does not match operator")
-        gl, gr, go, gs = wedge_table(self.generators)
-        acted = np.einsum("pij,qj->pqi", self.amp, xi.amp)  # [P, Q] = T_P xi[Q]
-        out = np.zeros_like(xi.amp)
-        np.add.at(out, go, gs[:, None] * acted[gl, gr])
-        return ModuleTensor._wrap(out)
+        acted = antisymmetric_product(self.amp, xi.amp[..., None], self.generators, np.matmul)
+        return ModuleTensor._wrap(acted[..., 0])
 
     def materialize(self) -> np.ndarray:
         """Dense matrix on flattened amplitudes (generator index major).
 
-        Block (P u Q, Q) is (-1)^tau(P, Q) T_P; each (out, right) pair of
-        the wedge table occurs once, so plain assignment fills it.
+        Block (P u Q, Q) is (-1)^tau(P, Q) T_P: left multiplication by the
+        operator-valued Grassmann element, generator and mode axes interleaved.
         """
-        gl, gr, go, gs = wedge_table(self.generators)
         ng, nd = self.amp.shape[:2]
-        out = np.zeros((ng, nd, ng, nd), dtype=complex)
-        out[go, :, gr, :] = gs[:, None, None] * self.amp[gl]
-        return out.reshape(ng * nd, ng * nd)
+        blocks = left_multiplication(self.amp, self.generators)  # [P u Q, Q, i, j]
+        return blocks.transpose(0, 2, 1, 3).reshape(ng * nd, ng * nd)
 
     def superadjoint(self) -> "RegularOperator":
         """sum k_P (x) T_P -> sum k_P* (x) T_P^dag; the adjoint for the
@@ -372,19 +349,13 @@ class RegularOperator(FrozenArray):
     def compose(self, other: "RegularOperator") -> "RegularOperator":
         """Operator product self o other: k_P k_Q (x) T_P S_Q."""
         self._check_same(other)
-        gl, gr, go, gs = wedge_table(self.generators)
-        out = np.zeros_like(self.amp)
-        np.add.at(out, go, gs[:, None, None] * (self.amp[gl] @ other.amp[gr]))
-        return self._wrap(out)
+        return self._wrap(antisymmetric_product(self.amp, other.amp, self.generators, np.matmul))
 
     def left_gmul(self, lam: GrassmannElement) -> "RegularOperator":
         """lam o self: lam k_P (x) T_P."""
         if lam.generators != self.generators:
             raise ValueError("generator counts differ")
-        gl, gr, go, gs = wedge_table(self.generators)
-        out = np.zeros_like(self.amp)
-        np.add.at(out, go, (gs * lam.amp[gl])[:, None, None] * self.amp[gr])
-        return self._wrap(out)
+        return self._wrap(antisymmetric_product(lam.amp[:, None, None], self.amp, self.generators))
 
     def __repr__(self) -> str:
         return (

@@ -5,14 +5,17 @@ route: Pfaffians by explicit perfect-matching sums and by expansion along
 the smallest index, Gaussian exponentials by the wedge power series,
 invertible-chart implementers by exponentiating a quadratic generator,
 coherent amplitudes by minors of the coefficient matrix, intertwining
-residuals by dense field-difference matrices.
+residuals by dense field-difference matrices, graded products by
+scatter-adding over a pair list built from inversion counts, gamma by the
+dense creation-matrix recursion.
 """
 
 import numpy as np
 import scipy.linalg
 
-from superfock._tables import popcounts
+from superfock._tables import popcounts, tau
 from superfock.fock import FockVector, create, delta, wedge
+from superfock.grassmann import GrassmannElement
 from superfock.gaussian import omega, skew_canonical
 
 
@@ -162,3 +165,43 @@ def coherent_amplitudes_batch(coeffs: np.ndarray) -> np.ndarray:
             else:
                 amps[:, pmask, kmask] = np.linalg.det(sub)
     return amps
+
+
+def graded_product_add_at(f: np.ndarray, g: np.ndarray, nbits: int, mul=np.multiply) -> np.ndarray:
+    """sum over disjoint (a, b) of (-1)^tau(a, b) mul(f[a], g[b]) into a | b,
+    scatter-added with np.add.at over a pair list built mask by mask."""
+    pairs = [(a, b) for a in range(1 << nbits) for b in range(1 << nbits) if not a & b]
+    left = np.array([a for a, _ in pairs])
+    right = np.array([b for _, b in pairs])
+    sign = np.array([(-1.0) ** tau(a, b) for a, b in pairs])
+    terms = mul(f[left], g[right])
+    out = np.zeros((1 << nbits,) + terms.shape[1:], dtype=complex)
+    np.add.at(out, left | right, sign.reshape((-1,) + (1,) * (terms.ndim - 1)) * terms)
+    return out
+
+
+def super_inner_loop(xi, eta) -> GrassmannElement:
+    """(xi | eta) of two supervectors, coefficient by coefficient:
+    the k_a k_b amplitude (a < b) is pair[a, b] - pair[b, a]."""
+    g = xi.generators
+    pair = np.conj(xi.coeff) @ eta.coeff.T  # [m, m'] over generators
+    anti = pair - pair.T
+    amp = np.zeros(1 << g, dtype=complex)
+    for a in range(g):
+        for b in range(a + 1, g):
+            amp[(1 << a) | (1 << b)] = anti[a, b]
+    return GrassmannElement(g, amp)
+
+
+def gamma_dense(b: np.ndarray) -> np.ndarray:
+    """Gamma(b) by Gamma(b) e_A = (b e_k) ^ Gamma(b) e_{A - k}, k the lowest
+    bit of A, each step a product with the dense matrix create(b e_k)."""
+    b = np.asarray(b, dtype=complex)
+    d = b.shape[0]
+    dim = 1 << d
+    op = np.zeros((dim, dim), dtype=complex)
+    op[0, 0] = 1.0
+    for k in reversed(range(d)):
+        rest = np.arange(0, dim, 2 << k)  # masks with every bit above k
+        op[:, rest | (1 << k)] = create(b[:, k]) @ op[:, rest]
+    return op

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from superfock.fock import (
     FockVector,
@@ -19,7 +21,7 @@ from superfock._tables import antisymmetric_product, create_apply, popcounts, we
 from superfock.orthogroup import haar_unitary
 
 from conftest import random_complex
-from oracles import mask_indices
+from oracles import gamma_dense, mask_indices
 
 
 def basis(d, mask):
@@ -226,6 +228,25 @@ def test_gamma_multiplicative_and_unitary(rng):
         assert np.max(np.abs(r)) < 1e-11
         gs = gamma(s1)
         assert np.max(np.abs(gs.conj().T @ gs - np.eye(1 << d))) < 1e-11
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_gamma_matches_dense_creation_recursion(d, rng):
+    b = random_complex(rng, d, d)
+    want = gamma_dense(b)
+    assert np.max(np.abs(gamma(b) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_gamma_is_multiplicative(data):
+    d = data.draw(st.integers(0, 5))
+    parts = data.draw(arrays(float, (4, d, d), elements=st.floats(-1.0, 1.0)))
+    a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    ga, gb = gamma(a), gamma(b)
+    # the entries are minors; the product sums 2^d of them
+    scale = max(1.0, float(np.max(np.abs(ga)) * np.max(np.abs(gb)))) * (1 << d)
+    assert np.max(np.abs(gamma(a @ b) - ga @ gb)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("d", [4, 6, 8])

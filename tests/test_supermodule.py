@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from superfock._tables import left_multiplication, popcounts
+from superfock._tables import left_multiplication, popcounts, reversal_signs
 from superfock.fock import FockVector
 from superfock.gaussian import exp_omega
 from superfock.grassmann import GrassmannElement, gexp, gnorm, gproduct, gstar
@@ -31,7 +31,7 @@ from superfock.supermodule import (
 )
 
 from conftest import random_complex
-from oracles import coherent_amplitudes_batch
+from oracles import coherent_amplitudes_batch, graded_product_add_at, super_inner_loop
 
 
 def rand_tensor(rng, g, d, parity=None, mode_mask=None):
@@ -132,6 +132,37 @@ def test_homogeneous_product_norm_bound(rng):
         assert mproduct(theta, xi).norm() <= bound * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("g, d", [(2, 3), (3, 3)])
+def test_module_operations_match_add_at_oracle(g, d, rng):
+    theta, xi = rand_tensor(rng, g, d), rand_tensor(rng, g, d)
+    lam = GrassmannElement(g, random_complex(rng, 1 << g))
+    op1, op2 = rand_regular(rng, g, d), rand_regular(rng, g, d)
+    rev = reversal_signs(g)
+
+    def fock_rows(a, b):
+        return graded_product_add_at(a.T, b.T, d).T
+
+    pairs = [
+        (mproduct(theta, xi).amp, graded_product_add_at(theta.amp, xi.amp, g, fock_rows)),
+        (
+            lambda_inner(theta, xi).amp,
+            graded_product_add_at(rev[:, None] * theta.amp, xi.amp, g, np.vecdot),
+        ),
+        (gmul(lam, xi).amp, graded_product_add_at(lam.amp[:, None], xi.amp, g)),
+        (op1.compose(op2).amp, graded_product_add_at(op1.amp, op2.amp, g, np.matmul)),
+        (
+            op1.left_gmul(lam).amp,
+            graded_product_add_at(lam.amp[:, None, None], op1.amp, g),
+        ),
+        (
+            op1.apply(xi).amp,
+            graded_product_add_at(op1.amp, xi.amp[..., None], g, np.matmul)[..., 0],
+        ),
+    ]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 # -- Grassmann-valued inner product -----------------------------------------
 
 
@@ -205,8 +236,8 @@ def test_super_inner_properties(rng):
     # (xi|eta)* = (eta|xi) = -(xi*|eta*)
     assert np.max(np.abs(gstar(ip).amp - super_inner(eta, xi).amp)) < 1e-13
     assert np.max(np.abs(super_inner(eta, xi).amp + super_inner(xi.star(), eta.star()).amp)) < 1e-13
-    # matches the module-level pairing
-    assert np.max(np.abs(ip.amp - lambda_inner(xi.to_module(), eta.to_module()).amp)) < 1e-13
+    # matches the coefficient-by-coefficient oracle
+    assert np.max(np.abs(ip.amp - super_inner_loop(xi, eta).amp)) < 1e-13
 
 
 def test_super_pairing_symmetric_for_skew(rng):
