@@ -6,6 +6,7 @@ rather than a complex number.
 """
 
 import numpy as np
+import scipy.linalg
 
 from superfock import (
     SuperVector,
@@ -34,7 +35,8 @@ w = weyl(eta)
 
 print("== two realizations of the same operator ==")
 print("normal-ordered vs matrix exponential:",
-      np.max(np.abs(w.materialize() - w.materialize_exponential())))
+      np.max(np.abs(w.materialize()
+                    - scipy.linalg.expm(w.generator().materialize()))))
 
 print("\n== action on coherent vectors ==")
 lhs = w.apply(coherent(xi))

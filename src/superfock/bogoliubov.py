@@ -41,6 +41,7 @@ from .errors import ChartError
 from .fock import FockVector, delta, gamma
 from .gaussian import as_skew, exp_omega, gaussian_norm, pfaffian_all_subsets
 from .orthogroup import RANK_ZERO, OrthogonalTransform, compose, coset_coordinate
+from .orthogroup import _RCOND, _cond_rtol
 from .supermodule import RegularOperator, regular_from_fock
 
 __all__ = [
@@ -112,16 +113,16 @@ def _implement_in_frame(
     d, n = r.d, h0.shape[1]
     m = d - n
     w, s, zh = np.linalg.svd(r.u)
-    s, smax = s[:m], s[0]
-    if m and not s[-1] > 1e-12 * smax:
+    s = s[:m]
+    smax = s[0] if m else 0.0
+    if m and not s[-1] > _RCOND * smax:
         raise ValueError("U is singular; use implement_general")
-    cond = float(smax / s[-1]) if m else 1.0
+    cond, rtol = _cond_rtol(s)
     if cond > cond_warn:
         warnings.warn(
             f"U is ill-conditioned (cond = {cond:.2e}); implementer accuracy degrades",
             stacklevel=3,
         )
-    rtol = max(1e-10, 64 * np.finfo(float).eps * cond)
     # V' = W^dag V conj(Z) couples only equal singular values; zeroing the
     # rest keeps its rounding from being amplified by S^-1
     vp = w[:, :m].conj().T @ r.v @ zh[:m].T

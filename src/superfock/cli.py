@@ -7,7 +7,10 @@ to stdout (deterministic for fixed input and seed) and human-readable
 warnings to stderr.
 
 Exit codes: 0 ok, 1 mathematical validation failure, 2 I/O or parse error,
-3 numerical ambiguity (rank-decision band).
+3 numerical ambiguity (rank-decision band).  ``main`` builds the base
+report and prints it exactly once: a command fills it in and returns an
+exit code or raises ``_Failure(code, error)``, and a
+``RankAmbiguityError`` from any command becomes exit 3.
 """
 
 from __future__ import annotations
@@ -78,16 +81,22 @@ STRICT_NOTATION_NOTE = (
 )
 
 
-def _report(command: str, args: argparse.Namespace, **fields) -> dict:
-    rep = {
-        "command": command,
-        "tol": getattr(args, "tol", None),
-        "warnings": [],
-        **fields,
-    }
-    if getattr(args, "strict_notation", False):
-        rep["warnings"].append(STRICT_NOTATION_NOTE)
-    return rep
+class _Failure(Exception):
+    """Early end of a command: ``_Failure(exit code, report error)``."""
+
+
+def _load(path: str) -> tuple[int, np.ndarray, np.ndarray]:
+    try:
+        return load_transform(path)
+    except (OSError, ValueError) as exc:
+        raise _Failure(EXIT_IO, str(exc)) from exc
+
+
+def _valid_transform(u, v, tol: float, which: str = "") -> og.OrthogonalTransform:
+    res = og.validate(u, v, tol)
+    if not res["ok"]:
+        raise _Failure(EXIT_INVALID, f"{which}transform invalid (max residual {res['max']:.3e})")
+    return og.OrthogonalTransform(u, v, check=False)
 
 
 def _emit(report: dict, code: int) -> int:
@@ -98,55 +107,37 @@ def _emit(report: dict, code: int) -> int:
     return code
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    report = _report("check", args, input=args.input[0])
-    try:
-        d, u, v = load_transform(args.input[0])
-    except (OSError, ValueError) as exc:
-        report["error"] = str(exc)
-        return _emit(report, EXIT_IO)
+def cmd_check(args: argparse.Namespace, report: dict) -> int:
+    report["input"] = args.input[0]
+    _, u, v = _load(args.input[0])
     residuals = og.validate(u, v, args.tol)
     report["residuals"] = {k: residuals[k] for k in sorted(residuals) if k != "ok"}
     report["valid"] = residuals["ok"]
     if not residuals["ok"]:
-        return _emit(report, EXIT_INVALID)
-    r = og.OrthogonalTransform(u, v, tol=args.tol)
-    try:
-        kd = r.kernel
-    except RankAmbiguityError as exc:
-        report["error"] = str(exc)
-        return _emit(report, EXIT_AMBIGUOUS)
-    report["kernel_dim"] = kd.n
+        return EXIT_INVALID
+    r = og.OrthogonalTransform(u, v, check=False)
+    report["kernel_dim"] = r.kernel.n
     report["component"] = og.component(r)
-    return _emit(report, EXIT_OK)
+    return EXIT_OK
 
 
-def cmd_implement(args: argparse.Namespace) -> int:
-    report = _report("implement", args, input=args.input[0], out=args.out)
-    try:
-        d, u, v = load_transform(args.input[0])
-    except (OSError, ValueError) as exc:
-        report["error"] = str(exc)
-        return _emit(report, EXIT_IO)
+def cmd_implement(args: argparse.Namespace, report: dict) -> int:
+    report.update(input=args.input[0], out=args.out)
+    d, u, v = _load(args.input[0])
     residuals = og.validate(u, v, args.tol)
     report["residuals"] = {"validation_max": residuals["max"]}
     if not residuals["ok"]:
         report["valid"] = False
-        return _emit(report, EXIT_INVALID)
+        return EXIT_INVALID
     if d >= 7:
         report["warnings"].append(
             f"d = {d}: implementer construction has exponential cost (2^{d} amplitudes)"
         )
-    r = og.OrthogonalTransform(u, v, tol=args.tol)
-    try:
-        impl = bg.implement_general(r)
-    except RankAmbiguityError as exc:
-        report["error"] = str(exc)
-        return _emit(report, EXIT_AMBIGUOUS)
+    r = og.OrthogonalTransform(u, v, check=False)
+    impl = bg.implement_general(r)
     unit = impl.unitarity_residual()
     intertwine = bg.intertwining_residual(r, impl.matrix)
-    report["residuals"]["unitarity"] = unit
-    report["residuals"]["intertwining"] = intertwine
+    report["residuals"].update(unitarity=unit, intertwining=intertwine)
     report["kernel_dim"] = impl.kernel_dim
     if args.out:
         payload = {"d": d, "dim": 1 << d, "T": matrix_to_json(impl.matrix)}
@@ -155,43 +146,26 @@ def cmd_implement(args: argparse.Namespace) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(payload, sort_keys=True))
         except OSError as exc:
-            report["error"] = str(exc)
-            return _emit(report, EXIT_IO)
+            raise _Failure(EXIT_IO, str(exc)) from exc
     # intertwining amplifies validation rounding; accept within a 2^(d/2) factor
     scale = 2.0 ** (d / 2.0)
     ok = unit <= args.tol * scale and intertwine <= args.tol * scale
-    return _emit(report, EXIT_OK if ok else EXIT_INVALID)
+    return EXIT_OK if ok else EXIT_INVALID
 
 
-def cmd_compose(args: argparse.Namespace) -> int:
-    report = _report("compose", args, input=list(args.input))
+def cmd_compose(args: argparse.Namespace, report: dict) -> int:
+    report["input"] = list(args.input)
     if len(args.input) != 2:
-        report["error"] = "compose needs exactly two -i/--input files"
-        return _emit(report, EXIT_IO)
-    try:
-        d1, u1, v1 = load_transform(args.input[0])
-        d2, u2, v2 = load_transform(args.input[1])
-    except (OSError, ValueError) as exc:
-        report["error"] = str(exc)
-        return _emit(report, EXIT_IO)
+        raise _Failure(EXIT_IO, "compose needs exactly two -i/--input files")
+    (d1, u1, v1), (d2, u2, v2) = (_load(path) for path in args.input)
     if d1 != d2:
-        report["error"] = f"dimension mismatch: {d1} != {d2}"
-        return _emit(report, EXIT_IO)
-    for u, v, which in ((u1, v1, "first"), (u2, v2, "second")):
-        res = og.validate(u, v, args.tol)
-        if not res["ok"]:
-            report["error"] = f"{which} transform invalid (max residual {res['max']:.3e})"
-            return _emit(report, EXIT_INVALID)
-    ra = og.OrthogonalTransform(u1, v1, tol=args.tol)
-    rb = og.OrthogonalTransform(u2, v2, tol=args.tol)
+        raise _Failure(EXIT_IO, f"dimension mismatch: {d1} != {d2}")
+    ra = _valid_transform(u1, v1, args.tol, "first ")
+    rb = _valid_transform(u2, v2, args.tol, "second ")
     rc = og.compose(ra, rb)
     report["U"] = matrix_to_json(rc.u)
     report["V"] = matrix_to_json(rc.v)
-    try:
-        ta, tb, tc = (bg.implement_general(r).matrix for r in (ra, rb, rc))
-    except RankAmbiguityError as exc:
-        report["error"] = str(exc)
-        return _emit(report, EXIT_AMBIGUOUS)
+    ta, tb, tc = (bg.implement_general(r).matrix for r in (ra, rb, rc))
     chi, ray_residual, ok = bg.ray_phase(ta @ tb, tc, max(args.tol, 1e-8))
     report["chi"] = [float(chi.real), float(chi.imag)]
     report["residuals"] = {
@@ -199,42 +173,33 @@ def cmd_compose(args: argparse.Namespace) -> int:
         "ray_residual": ray_residual,
     }
     if not ok:
-        report["error"] = "product is not a scalar multiple of the composed implementer"
-        return _emit(report, EXIT_INVALID)
-    return _emit(report, EXIT_OK)
+        raise _Failure(EXIT_INVALID, "product is not a scalar multiple of the composed implementer")
+    return EXIT_OK
 
 
-def cmd_vacuum(args: argparse.Namespace) -> int:
-    report = _report("vacuum", args, input=args.input[0])
-    try:
-        d, u, v = load_transform(args.input[0])
-    except (OSError, ValueError) as exc:
-        report["error"] = str(exc)
-        return _emit(report, EXIT_IO)
-    res = og.validate(u, v, args.tol)
-    if not res["ok"]:
-        report["error"] = f"transform invalid (max residual {res['max']:.3e})"
-        return _emit(report, EXIT_INVALID)
-    r = og.OrthogonalTransform(u, v, tol=args.tol)
+def cmd_vacuum(args: argparse.Namespace, report: dict) -> int:
+    report["input"] = args.input[0]
+    _, u, v = _load(args.input[0])
+    r = _valid_transform(u, v, args.tol)
     try:
         vo = bg.vacuum_orbit(r)
-    except RankAmbiguityError as exc:
-        report["error"] = str(exc)
-        return _emit(report, EXIT_AMBIGUOUS)
     except SkewnessError as exc:
-        report["error"] = f"coset coordinate: {exc}"
-        return _emit(report, EXIT_INVALID)
+        raise _Failure(EXIT_INVALID, f"coset coordinate: {exc}") from exc
     report["amplitudes"] = vector_to_json(vo.vector.amp)
     report["overlap"] = vo.overlap
     report["norm"] = vo.norm()
     report["kernel_dim"] = vo.kernel_dim
     report["coset_X"] = matrix_to_json(vo.x)
     report["H0_basis"] = matrix_to_json(vo.h0_basis)
-    return _emit(report, EXIT_OK)
+    return EXIT_OK
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    report = _report("selftest", args)
+def cmd_selftest(args: argparse.Namespace, report: dict) -> int:
+    if args.modes < 1 or args.generators < 0:
+        raise _Failure(
+            EXIT_IO,
+            f"need --modes >= 1 and --generators >= 0, got {args.modes} and {args.generators}",
+        )
     if args.modes > 3 and args.generators > 0:
         report["warnings"].append(
             f"modes = {args.modes}: module-space checks run on min(modes, 3) modes"
@@ -244,7 +209,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     )
     report["warnings"].extend(result.pop("warnings"))
     report.update(result)
-    return _emit(report, EXIT_OK if report["all_passed"] else EXIT_INVALID)
+    return EXIT_OK if report["all_passed"] else EXIT_INVALID
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    report = {"command": args.command, "tol": args.tol, "warnings": []}
+    if args.strict_notation:
+        report["warnings"].append(STRICT_NOTATION_NOTE)
+    try:
+        code = args.func(args, report)
+    except _Failure as exc:
+        code, report["error"] = exc.args
+    except RankAmbiguityError as exc:
+        code, report["error"] = EXIT_AMBIGUOUS, str(exc)
+    return _emit(report, code)
 
 
 if __name__ == "__main__":

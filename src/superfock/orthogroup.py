@@ -8,8 +8,10 @@ of the underlying real Hilbert space iff
 
 The group structure, the kernel decomposition attached to a singular U, the
 skew coset coordinate X = V conj(U)^(-1) and its lift back to the group are
-implemented here; building the Fock-space unitaries that implement these
-transformations lives in :mod:`superfock.bogoliubov`.
+implemented here, with numpy alone.  The kernel bases come from a pivoted
+Gram-Schmidt with a fixed tie and phase rule; their ordered wedge fixes the
+phase of the ray representation.  Building the Fock-space unitaries that
+implement these transformations lives in :mod:`superfock.bogoliubov`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RankAmbiguityError
 from .gaussian import as_skew
@@ -48,6 +49,15 @@ __all__ = [
 # ambiguous because the kernel dimension selects the representation branch.
 RANK_ZERO = 1e-10
 RANK_KEEP = 1e-8
+# Singular values at or below _RCOND * smax are never inverted.
+_RCOND = 1e-12
+
+
+def _cond_rtol(s: np.ndarray) -> tuple[float, float]:
+    """cond = s[0] / s[-1] of descending nonzero singular values (1 for an
+    empty spectrum) and the skewness tolerance max(1e-10, 64 eps cond)."""
+    cond = float(s[0] / s[-1]) if s.size else 1.0
+    return cond, max(1e-10, 64 * np.finfo(float).eps * cond)
 
 
 def validate(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> dict:
@@ -59,14 +69,14 @@ def validate(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> dict:
     v = np.asarray(v, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape != v.shape:
         raise ValueError(f"U, V must be square and equal-shaped, got {u.shape}, {v.shape}")
-    d = u.shape[0]
-    eye = np.eye(d)
-    res = {
-        "unitarity_left": float(np.max(np.abs(u @ u.conj().T + v @ v.conj().T - eye))),
-        "unitarity_right": float(np.max(np.abs(u.conj().T @ u + v.T @ np.conj(v) - eye))),
-        "skew_left": float(np.max(np.abs(u @ v.T + v @ u.T))),
-        "skew_right": float(np.max(np.abs(u.conj().T @ v + v.T @ np.conj(u)))),
+    eye = np.eye(u.shape[0])
+    defects = {
+        "unitarity_left": u @ u.conj().T + v @ v.conj().T - eye,
+        "unitarity_right": u.conj().T @ u + v.T @ np.conj(v) - eye,
+        "skew_left": u @ v.T + v @ u.T,
+        "skew_right": u.conj().T @ v + v.T @ np.conj(u),
     }
+    res = {k: float(np.max(np.abs(m), initial=0.0)) for k, m in defects.items()}
     res["max"] = max(res.values())
     res["ok"] = res["max"] <= tol
     return res
@@ -154,21 +164,22 @@ def _split_singular(s: np.ndarray) -> np.ndarray:
 def _canonical_basis(cols: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the span of the given ON columns.
 
-    Pivoted QR of the projector orders vectors by descending overlap with the
-    standard basis; each vector's phase is fixed so its largest-magnitude
+    Pivoted Gram-Schmidt over the projector onto the span: each step takes
+    the residual column of largest norm (rounded to 12 decimals, lowest
+    index on ties), so the vectors come in descending overlap with the
+    standard basis.  Each vector's phase is fixed so its largest-magnitude
     entry (lowest index on ties) is real positive.
     """
     d, n = cols.shape
-    if n == 0:
-        return np.zeros((d, 0), dtype=complex)
-    proj = cols @ cols.conj().T
-    q, _, _ = scipy.linalg.qr(proj, pivoting=True)
-    basis = q[:, :n].astype(complex)
+    resid = cols @ cols.conj().T
+    basis = np.zeros((d, n), dtype=complex)
     for j in range(n):
-        col = basis[:, j]
-        k = int(np.argmax(np.round(np.abs(col), 12)))
-        phase = col[k] / abs(col[k])
-        basis[:, j] = col * np.conj(phase)
+        norms = np.linalg.norm(resid, axis=0)
+        k = int(np.argmax(np.round(norms, 12)))
+        q = resid[:, k] / norms[k]
+        m = int(np.argmax(np.round(np.abs(q), 12)))
+        basis[:, j] = q * np.conj(q[m] / abs(q[m]))
+        resid = resid - np.outer(basis[:, j], basis[:, j].conj() @ resid)
     return basis
 
 
@@ -207,7 +218,7 @@ def kernel_decomposition(r: OrthogonalTransform) -> KernelDecomposition:
     )
 
 
-def gen_inverse(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
+def gen_inverse(a: np.ndarray, rcond: float = _RCOND) -> np.ndarray:
     """Generalized inverse: the inverse on ran A, zero on (ran A)^perp.
 
     Satisfies A A^(-1) = projector onto ran A and A^(-1) A = projector onto
@@ -241,8 +252,9 @@ def coset_coordinate(r: OrthogonalTransform) -> CosetPoint:
     """
     kd = r.kernel
     x_raw = r.v @ np.conj(gen_inverse(r.u, RANK_ZERO))
-    cond = float(np.linalg.cond(r.u)) if kd.n == 0 else 1.0
-    rtol = max(1e-10, 64 * np.finfo(float).eps * cond)
+    # with a kernel the tolerance stays at its floor
+    s = np.linalg.svd(r.u, compute_uv=False) if kd.n == 0 else np.ones(0)
+    _, rtol = _cond_rtol(s)
     return CosetPoint(x=as_skew(x_raw, rtol=rtol), h0=kd.h0)
 
 

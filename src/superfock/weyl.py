@@ -15,7 +15,6 @@ antisymmetric form omega(xi, eta) = ((xi|eta) - (eta|xi)) / 2i.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .gaussian import as_skew
 from .grassmann import GrassmannElement, gexp
@@ -84,10 +83,6 @@ class WeylOperator:
     def generator(self) -> RegularOperator:
         """D_eta = b+(eta) - b-(eta); W(t eta) = exp(t D_eta)."""
         return b_plus(self.eta) - b_minus(self.eta)
-
-    def materialize_exponential(self) -> np.ndarray:
-        """Dense matrix exp(D_eta); agrees with the normal-ordered form."""
-        return scipy.linalg.expm(self.generator().materialize())
 
     def inverse(self) -> "WeylOperator":
         return WeylOperator(-self.eta)

@@ -7,7 +7,7 @@ invertible-chart implementers by exponentiating a quadratic generator,
 coherent amplitudes by minors of the coefficient matrix, intertwining
 residuals by dense field-difference matrices, graded products by
 scatter-adding over a pair list built from inversion counts, gamma by the
-dense creation-matrix recursion.
+dense creation-matrix recursion, kernel bases by scipy's pivoted QR.
 """
 
 import numpy as np
@@ -205,3 +205,22 @@ def gamma_dense(b: np.ndarray) -> np.ndarray:
         rest = np.arange(0, dim, 2 << k)  # masks with every bit above k
         op[:, rest | (1 << k)] = create(b[:, k]) @ op[:, rest]
     return op
+
+
+def canonical_basis_qr(cols: np.ndarray) -> np.ndarray:
+    """Canonical basis of span(cols) from LAPACK's pivoted QR of the
+    projector, with the phase rule of ``orthogroup._canonical_basis``.
+
+    LAPACK pivots on unrounded norms, so where column norms tie (n = d) its
+    order follows rounding noise.
+    """
+    d, n = cols.shape
+    if n == 0:
+        return np.zeros((d, 0), dtype=complex)
+    q, _, _ = scipy.linalg.qr(cols @ cols.conj().T, pivoting=True)
+    basis = q[:, :n].astype(complex)
+    for j in range(n):
+        col = basis[:, j]
+        k = int(np.argmax(np.round(np.abs(col), 12)))
+        basis[:, j] = col * np.conj(col[k] / abs(col[k]))
+    return basis

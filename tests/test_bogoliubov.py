@@ -150,6 +150,31 @@ def test_pure_swap_d1():
     assert bg.intertwining_residual(r, impl.matrix) < 1e-12
 
 
+def test_zero_modes():
+    r = og.identity(0)
+    assert np.array_equal(bg.implement_general(r).matrix, [[1.0]])
+    assert np.array_equal(bg.implement_invertible(r).matrix, [[1.0]])
+    assert bg.cocycle(r, r) == 1.0
+    vo = bg.vacuum_orbit(r)
+    assert np.array_equal(vo.vector.amp, [1.0])
+    assert vo.x.shape == (0, 0) and vo.overlap == 1.0 and vo.kernel_dim == 0
+    assert og.coset_coordinate(r).x.shape == (0, 0)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_smallest_mode_counts_random(d, rng):
+    for n in range(d + 1):
+        for _ in range(3):
+            r, r2 = (og.random_transform(d, rng, kernel_dim=n) for _ in range(2))
+            t = bg.implement_general(r).matrix
+            assert np.max(np.abs(t.conj().T @ t - np.eye(1 << d))) < 1e-14
+            assert bg.intertwining_residual(r, t) < 1e-14
+            vo = bg.vacuum_orbit(r)
+            assert vo.x.shape == (d, d) and vo.kernel_dim == n
+            assert np.max(np.abs(t[:, 0] - vo.vector.amp)) < 1e-14
+            assert abs(abs(bg.cocycle(r, r2)) - 1.0) < 1e-14
+
+
 def test_intertwining_residual_reference_cases(rng):
     d = 2
     assert bg.intertwining_residual(og.identity(d), np.eye(1 << d)) == 0.0

@@ -2,6 +2,11 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +326,41 @@ def test_selftest_skips_module_checks_without_generators(capsys):
     names = {c["name"] for c in rep["checks"]}
     assert "weyl_group_law" not in names
     assert any("skipped" in w for w in rep["warnings"])
+
+
+@pytest.mark.parametrize(
+    "argv", [["--modes", "-1"], ["--modes", "0"], ["--generators", "-2"]]
+)
+def test_selftest_rejects_bad_counts(capsys, argv):
+    code, rep = run(capsys, "selftest", *argv)
+    assert code == 2 and rep["exit_status"] == 2
+    assert "--modes >= 1" in rep["error"]
+    assert "checks" not in rep
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # the runtime is numpy-only: every command succeeds with scipy blocked
+    rng = np.random.default_rng(3)
+    files = []
+    for name, n in (("a", 0), ("b", 2)):
+        r = og.random_transform(4, rng, kernel_dim=n)
+        files.append(write_transform(tmp_path / f"{name}.json", r.u, r.v))
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        from superfock.cli import main
+        a, b = {files!r}
+        for argv in (["check", "-i", b], ["vacuum", "-i", b], ["implement", "-i", a],
+                     ["compose", "-i", a, "-i", b], ["selftest", "--modes", "2"]):
+            assert main(argv) == 0, argv
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_strict_notation_flag(capsys, identity_file):

@@ -6,6 +6,8 @@ import pytest
 import superfock.orthogroup as og
 from superfock.errors import RankAmbiguityError, SkewnessError
 
+from oracles import canonical_basis_qr
+
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -111,6 +113,40 @@ def test_kernel_decomposition_engineered(n, rng):
         assert np.max(np.abs(kd.q0 @ r.v.T @ np.conj(kd.p1))) < 1e-12
         # strict contraction away from the kernel block
         assert np.linalg.norm(r.v @ np.conj(kd.q1), 2) < 1.0
+
+
+def _kernel_columns(r):
+    w, s, zh = np.linalg.svd(r.u)
+    zero = s < og.RANK_ZERO * s[0]
+    return w[:, zero], zh.conj().T[:, zero]
+
+
+def test_canonical_basis_matches_pivoted_qr(rng):
+    # with n = d every column norm ties and the oracle's pivot follows
+    # rounding noise; the tie order is tested below
+    for d in range(1, 15):
+        for n in range(min(d - 1, 3) + 1):
+            r = og.random_transform(d, rng, kernel_dim=n)
+            kd = r.kernel
+            for basis, cols in zip((kd.h0, kd.f0), _kernel_columns(r)):
+                assert basis.shape == (d, n)
+                assert np.max(np.abs(basis - canonical_basis_qr(cols)), initial=0.0) < 1e-14
+
+
+def test_canonical_basis_breaks_ties_in_ascending_order(rng):
+    # n = d: the projector is I up to rounding, so every column norm ties
+    for d in (1, 2, 3, 5, 8):
+        kd = og.random_transform(d, rng, kernel_dim=d).kernel
+        assert np.max(np.abs(kd.h0 - np.eye(d))) < 1e-14
+        assert np.max(np.abs(kd.f0 - np.eye(d))) < 1e-14
+        basis = og._canonical_basis(og.haar_unitary(d, rng))
+        assert np.max(np.abs(basis - np.eye(d))) < 1e-14
+    # axis-aligned kernels in shuffled order with random phases
+    d = 6
+    for modes in ([4, 1], [5, 0, 3], [2, 3, 1, 0]):
+        phases = np.exp(2j * np.pi * rng.random(len(modes)))
+        basis = og._canonical_basis(np.eye(d)[:, modes] * phases)
+        assert np.array_equal(basis, np.eye(d)[:, sorted(modes)])
 
 
 def test_splitting_into_isometries(rng):
