@@ -6,11 +6,11 @@ scalars are two-element [re, im] arrays.  Every command prints a JSON report
 to stdout (deterministic for fixed input and seed) and human-readable
 warnings to stderr.
 
-Exit codes: 0 ok, 1 mathematical validation failure, 2 I/O or parse error,
-3 numerical ambiguity (rank-decision band).  ``main`` builds the base
-report and prints it exactly once: a command fills it in and returns an
-exit code or raises ``_Failure(code, error)``, and a
-``RankAmbiguityError`` from any command becomes exit 3.
+Exit codes: 0 ok, 1 mathematical validation failure, 2 usage (``--tol`` must
+be finite and > 0), I/O or parse error, 3 numerical ambiguity (rank-decision
+band).  ``main`` builds the base report and prints it exactly once: a command
+fills it in and returns an exit code or raises ``_Failure(code, error)``, and
+a ``RankAmbiguityError`` from any command becomes exit 3.
 """
 
 from __future__ import annotations
@@ -212,8 +212,13 @@ def cmd_selftest(args: argparse.Namespace, report: dict) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_INVALID
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # usage errors end in main's exit-2 report
+        raise _Failure(EXIT_IO, f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superfock",
         description="Batch interface for orthogonal transforms and their Fock-space implementers",
     )
@@ -223,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("-i", "--input", action="append", required=True,
                            help="transform JSON file (repeat for compose)")
-        p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+        p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance, finite and > 0")
         p.add_argument("--strict-notation", action="store_true",
                        help="record index-set conventions of the duality block in the report")
 
@@ -255,11 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    report = {"command": args.command, "tol": args.tol, "warnings": []}
-    if args.strict_notation:
-        report["warnings"].append(STRICT_NOTATION_NOTE)
+    report = {"command": None, "warnings": []}
     try:
+        args = build_parser().parse_args(argv)
+        report["command"] = args.command
+        if not 0.0 < args.tol < float("inf"):  # also NaN, which JSON cannot carry
+            raise _Failure(EXIT_IO, f"--tol must be finite and > 0, got {args.tol}")
+        report["tol"] = args.tol
+        if args.strict_notation:
+            report["warnings"].append(STRICT_NOTATION_NOTE)
         code = args.func(args, report)
     except _Failure as exc:
         code, report["error"] = exc.args

@@ -1,6 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types and numerical decision thresholds shared across the package."""
 
 __all__ = ["SkewnessError", "RankAmbiguityError", "ChartError"]
+
+# Singular values of U below RANK_ZERO * smax are kernel directions, above
+# RANK_KEEP * smax they count as nonzero; the band in between is reported as
+# ambiguous because the kernel dimension selects the representation branch.
+RANK_ZERO = 1e-10
+RANK_KEEP = 1e-8
+# Singular values at or below _RCOND * smax are never inverted.
+_RCOND = 1e-12
+# skew_canonical: X X^dag eigenvalues <= _SKEW_KERNEL * d * max span ker X;
+# a pairing norm must exceed _SKEW_PAIR * zmax, a kept QR |r_ii| _SKEW_PAIR * max(zmax, 1).
+_SKEW_KERNEL = 1e-13
+_SKEW_PAIR = 1e-10
+# orbit_transform: the chart edge of smin / max(smax, 1) and X3's skew rtol.
+_CHART_EDGE = 1e-10
+_MOEBIUS_SKEW = 1e-8
 
 
 class SkewnessError(ValueError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tables import create_apply, reversal_signs
-from .errors import SkewnessError
+from .errors import _SKEW_KERNEL, _SKEW_PAIR, SkewnessError
 from .fock import FockVector
 
 __all__ = [
@@ -151,7 +151,7 @@ def skew_canonical(
     zmax = zs[0] if zs.size else 0.0
     # eigh resolves eigenvalues only to ~eps * lambda_max, so kernel
     # detection must happen on the eigenvalue scale
-    nonzero = evals > 1e-13 * d * (evals[0] if evals.size else 0.0)
+    nonzero = evals > _SKEW_KERNEL * d * (evals[0] if evals.size else 0.0)
 
     kernel_cols = [evecs[:, k] for k in range(d) if not nonzero[k]]
     z_list: list[float] = []
@@ -169,7 +169,7 @@ def skew_canonical(
             w = block[:, 0]
             v = x @ np.conj(w)
             z = float(np.linalg.norm(v))
-            if z <= 1e-10 * zmax:
+            if z <= _SKEW_PAIR * zmax:
                 raise ArithmeticError("canonical-form pairing failed to converge")
             u = v / z
             z_list.append(z)
@@ -178,7 +178,7 @@ def skew_canonical(
             # remove span{w, u} from the cluster block
             rem = block - np.outer(w, w.conj() @ block) - np.outer(u, u.conj() @ block)
             q, r = np.linalg.qr(rem)
-            keep = np.abs(np.diag(r)) > 1e-10 * max(zmax, 1.0)
+            keep = np.abs(np.diag(r)) > _SKEW_PAIR * max(zmax, 1.0)
             block = q[:, keep]
         k = j
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RankAmbiguityError
+from .errors import _RCOND, RANK_KEEP, RANK_ZERO, RankAmbiguityError
 from .gaussian import as_skew
 
 __all__ = [
@@ -43,14 +43,6 @@ __all__ = [
     "random_skew",
     "random_transform",
 ]
-
-# Singular values of U below RANK_ZERO * smax are kernel directions, above
-# RANK_KEEP * smax they count as nonzero; the band in between is reported as
-# ambiguous because the kernel dimension selects the representation branch.
-RANK_ZERO = 1e-10
-RANK_KEEP = 1e-8
-# Singular values at or below _RCOND * smax are never inverted.
-_RCOND = 1e-12
 
 
 def _cond_rtol(s: np.ndarray) -> tuple[float, float]:

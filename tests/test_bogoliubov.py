@@ -3,9 +3,10 @@ cocycle, vacuum orbits and their transformation law."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superfock.orthogroup as og
-from superfock import _tables
+from superfock import _tables, fock
 from superfock import bogoliubov as bg
 from superfock.errors import ChartError
 from superfock.fock import FockVector, delta, gamma, wedge
@@ -154,6 +155,8 @@ def test_zero_modes():
     r = og.identity(0)
     assert np.array_equal(bg.implement_general(r).matrix, [[1.0]])
     assert np.array_equal(bg.implement_invertible(r).matrix, [[1.0]])
+    for t in (np.eye(1), np.array([[0.3 - 2.0j]])):  # no modes, no directions
+        assert bg.intertwining_residual(r, t) == 0.0
     assert bg.cocycle(r, r) == 1.0
     vo = bg.vacuum_orbit(r)
     assert np.array_equal(vo.vector.amp, [1.0])
@@ -192,14 +195,70 @@ def test_intertwining_residual_reference_cases(rng):
     assert bg.intertwining_residual(r, bad) > 0.1
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("d", range(8))
 def test_intertwining_residual_matches_dense_formula(d, rng):
-    for n in range(min(d, 2) + 1):
+    for n in range(min(d, 3) + 1):
         r = og.random_transform(d, rng, kernel_dim=n)
         t = bg.implement_general(r).matrix
         for m in (t, t + 1e-3 * random_complex(rng, *t.shape)):
             got = bg.intertwining_residual(r, m)
-            assert abs(got - intertwining_residual_dense(r, m)) <= 1e-13
+            assert abs(got - intertwining_residual_dense(r, m)) <= 1e-14
+
+
+@pytest.mark.parametrize("block", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_intertwining_residual_sees_each_parity_block(block, rng):
+    # one 1e-6 entry in a block that is zero (n = 1: T is odd) or nonzero
+    d = 5
+    odd = _tables.popcounts(d) & 1
+    for n in (0, 1):
+        r = og.random_transform(d, rng, kernel_dim=n)
+        t = bg.implement_general(r).matrix.copy()
+        i = rng.choice(np.flatnonzero(odd == block[0]))
+        j = rng.choice(np.flatnonzero(odd == block[1]))
+        t[i, j] += 1e-6 * np.exp(2j * np.pi * rng.random())
+        want = intertwining_residual_dense(r, t)
+        assert want > 1e-7
+        assert abs(bg.intertwining_residual(r, t) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 5])
+def test_intertwining_residual_of_a_non_graded_unitary(d, rng):
+    r = og.random_transform(d, rng, kernel_dim=d % 2)
+    u = og.haar_unitary(1 << d, rng)
+    want = intertwining_residual_dense(r, u)
+    assert abs(bg.intertwining_residual(r, u) - want) <= 1e-14
+
+
+@settings(max_examples=40)
+@given(
+    d=st.integers(0, 5),
+    n=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 1e-9, 1e-6, 1e-2]),
+)
+def test_intertwining_residual_matches_dense_formula_property(d, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    r = og.random_transform(d, rng, kernel_dim=min(n, d))
+    t = bg.implement_general(r).matrix + scale * random_complex(rng, 1 << d, 1 << d)
+    assert abs(bg.intertwining_residual(r, t) - intertwining_residual_dense(r, t)) <= 1e-14
+
+
+def test_intertwining_residual_builds_no_dense_fock_operator(monkeypatch, rng):
+    d = 6
+    r = og.random_transform(d, rng, kernel_dim=1)
+    cases = [bg.implement_general(r).matrix, og.haar_unitary(1 << d, rng)]
+    want = [intertwining_residual_dense(r, t) for t in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Fock operator built")
+
+    for module, name in [
+        (fock, "create"), (fock, "delta"), (fock, "left_multiplication"),
+        (bg, "delta"), (bg, "left_multiplication"), (_tables, "left_multiplication"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    for t, w in zip(cases, want):
+        assert abs(bg.intertwining_residual(r, t) - w) <= 1e-14
 
 
 def test_t0_duality_block(rng):

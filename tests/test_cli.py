@@ -367,3 +367,41 @@ def test_strict_notation_flag(capsys, identity_file):
     code, rep = run(capsys, "check", "-i", identity_file, "--strict-notation")
     assert code == 0
     assert any("tau(K, M)" in w for w in rep["warnings"])
+
+
+def strict_report(text: str) -> dict:
+    # json.loads would accept NaN and Infinity, which are not JSON
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["selftest", "--modes", "abc"], [], ["nope"], ["vacuum", "-i", "x.json", "--bogus"]],
+)
+def test_usage_errors_are_json_reports(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    rep = strict_report(captured.out)
+    assert code == 2 and rep["exit_status"] == 2 and rep["error"]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "abc"])
+@pytest.mark.parametrize("command", ["check", "implement", "selftest"])
+def test_tolerance_must_be_finite_and_positive(capsys, identity_file, command, tol):
+    inputs = [] if command == "selftest" else ["-i", identity_file]
+    code = main([command, *inputs, "--tol", tol])
+    rep = strict_report(capsys.readouterr().out)
+    assert code == 2 and rep["exit_status"] == 2
+    assert "--tol" in rep["error"] and "valid" not in rep
+    assert rep["command"] == command or tol == "abc"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: superfock check")
