@@ -25,7 +25,6 @@ from .errors import ChartError, RankAmbiguityError, SkewnessError
 from .fock import (
     FockVector,
     annihilate,
-    apply_operator,
     bilinear,
     create,
     delta,

@@ -22,8 +22,9 @@ ill-conditioned.  It is therefore built in U's singular-value frame
 where T_S is the product above for R(S, V') on the nonzero singular values,
 with Gamma(S^-1) diagonal, and PH_n = Delta(e_0) ... Delta(e_{n-1})
 Gamma((-1)^(n+1) I) implements f -> f* on the kernel modes (the high bits,
-so (x) is the Kronecker product).  The large factors of T_S are aligned, so
-the rounding error stays near eps * cond(U).
+so (x) is the Kronecker product).  PH_n is the signed complement permutation
+e_K -> (-1)^(tau(K, M) + |K|) e_{M \\ K}, M = {0, ..., n-1}.  The large
+factors of T_S are aligned, so the rounding error stays near eps * cond(U).
 
 Products of implementers reproduce the group only up to the cocycle phase
 chi(R2, R1) with |chi| = 1, extracted here numerically.
@@ -36,9 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import create_apply, left_multiplication, popcounts, tau
-from .errors import _CHART_EDGE, _MOEBIUS_SKEW, _RCOND, RANK_ZERO, ChartError
-from .fock import FockVector, delta, gamma
+from ._tables import create_apply, left_multiplication, popcounts
+from .errors import _CHART_EDGE, _COND_WARN, _MOEBIUS_SKEW, _RAY_TOL, _RCOND, _RESIDUAL_TOL
+from .errors import RANK_ZERO, ChartError
+from .fock import FockVector, gamma
 from .gaussian import as_skew, exp_omega, gaussian_norm, pfaffian_all_subsets
 from .orthogroup import OrthogonalTransform, _cond_rtol, compose, coset_coordinate
 from .supermodule import RegularOperator, regular_from_fock
@@ -87,37 +89,44 @@ class Implementer:
         )
 
 
-def c_norm(x: np.ndarray, rtol: float = 1e-10) -> float:
+def c_norm(x: np.ndarray) -> float:
     """Normalization constant det(I + X^dag X)^(-1/4); equals c_{X^dag}."""
-    return gaussian_norm(x, rtol) ** -0.5
+    return gaussian_norm(x) ** -0.5
 
 
-def implement_invertible(
-    r: OrthogonalTransform, cond_warn: float = 1e8
-) -> Implementer:
+def implement_invertible(r: OrthogonalTransform) -> Implementer:
     """Implementer for invertible U, built in U's singular-value frame.
 
     The entries carry a rounding error of about eps * cond(U): unitarity
     and intertwining residuals stay within a small multiple of it.  Raises
-    ``ValueError`` when U is singular and warns above ``cond_warn``.
+    ``ValueError`` when U is singular and warns when cond(U) exceeds
+    ``errors._COND_WARN``.
     """
-    return _implement_in_frame(r, np.zeros((r.d, 0)), cond_warn)
+    return _implement_in_frame(r, np.zeros((r.d, 0)))
 
 
-def _implement_in_frame(
-    r: OrthogonalTransform, h0: np.ndarray, cond_warn: float = 1e8
-) -> Implementer:
+def _signed_complement(n: int, shift: int = 0) -> np.ndarray:
+    """The permutation e_K -> (-1)^(tau(K, M) + shift |K|) e_{M \\ K} over the
+    masks K of M = {0, ..., n-1}; tau(K, M) is the sum of the indices in K."""
+    masks = np.arange(1 << n)
+    odd = (masks[:, None] >> np.arange(n) & 1) @ (np.arange(n) + shift) & 1
+    block = np.zeros((1 << n, 1 << n), dtype=complex)
+    block[masks[-1] ^ masks, masks] = 1.0 - 2.0 * odd
+    return block
+
+
+def _implement_in_frame(r: OrthogonalTransform, h0: np.ndarray) -> Implementer:
     """T(R) = Gamma(W) (PH_n (x) T_S) Gamma(Z^dag) with the columns ``h0``
     of W spanning ker U^dag; see the module docstring."""
     d, n = r.d, h0.shape[1]
     m = d - n
-    w, s, zh = np.linalg.svd(r.u)
+    w, s, zh = r._svd
     s = s[:m]
     smax = s[0] if m else 0.0
     if m and not s[-1] > _RCOND * smax:
         raise ValueError("U is singular; use implement_general")
     cond, rtol = _cond_rtol(s)
-    if cond > cond_warn:
+    if cond > _COND_WARN:
         warnings.warn(
             f"U is ill-conditioned (cond = {cond:.2e}); implementer accuracy degrades",
             stacklevel=3,
@@ -131,12 +140,10 @@ def _implement_in_frame(
     gamma_s_inv = np.ones(1)
     for sk in s:
         gamma_s_inv = np.concatenate([gamma_s_inv, gamma_s_inv / sk])
-    gauss = left_multiplication(exp_omega(x, rtol=rtol).amp, m)
+    gauss = left_multiplication(exp_omega(x).amp, m)
     contract = left_multiplication(pfaffian_all_subsets(y), m).T
-    t_s = c_norm(x, rtol=rtol) * (gauss @ (gamma_s_inv[:, None] * contract))
-    ph = gamma((-1.0) ** (n + 1) * np.eye(n))
-    for k in reversed(range(n)):
-        ph = delta(np.eye(n)[k]) @ ph
+    t_s = c_norm(x) * (gauss @ (gamma_s_inv[:, None] * contract))
+    ph = _signed_complement(n, shift=1)
     # kernel columns of Z: V^T conj(h0) spans ker U and makes V' = I there
     w_frame = np.hstack([w[:, :m], h0])
     z_frame = np.hstack([zh[:m].conj().T, r.v.T @ np.conj(h0)])
@@ -163,7 +170,7 @@ class T0Block:
     matrix: np.ndarray    # (2^d, 2^d)
 
 
-def t0_duality(j: np.ndarray, e_basis: np.ndarray, tol: float = 1e-9) -> T0Block:
+def t0_duality(j: np.ndarray, e_basis: np.ndarray) -> T0Block:
     """Particle-hole duality block from the isometry J: F0* -> H0.
 
     Preconditions J J^dag = P0 (projector onto the span of ``e_basis``) and
@@ -175,21 +182,18 @@ def t0_duality(j: np.ndarray, e_basis: np.ndarray, tol: float = 1e-9) -> T0Block
     e_basis = np.asarray(e_basis, dtype=complex)
     d, n = e_basis.shape
     p0 = e_basis @ e_basis.conj().T
-    if np.max(np.abs(j @ j.conj().T - p0)) > tol:
+    if np.max(np.abs(j @ j.conj().T - p0)) > _RESIDUAL_TOL:
         raise ValueError("J J^dag does not match the projector onto the e-basis span")
     f_basis = -(j.T @ np.conj(e_basis))
     q0 = f_basis @ f_basis.conj().T
-    if np.max(np.abs(j.conj().T @ j - np.conj(q0))) > tol:
+    if np.max(np.abs(j.conj().T @ j - np.conj(q0))) > _RESIDUAL_TOL:
         raise ValueError("J^dag J does not match conj(Q0)")
 
-    full = (1 << n) - 1
-    masks = np.arange(1 << n)
-    signs = np.array([-1.0 if tau(k, full) & 1 else 1.0 for k in range(full + 1)])
-    block = np.zeros((1 << n, 1 << n), dtype=complex)
-    block[full ^ masks, masks] = signs
-    pad = np.zeros((d, d - n))
+    block = _signed_complement(n)
+    # masks below 2^n index the wedges of the first n (basis) columns; M \ K = masks[::-1]
+    pad, masks = np.zeros((d, d - n)), np.arange(1 << n)
     in_cols = gamma(np.hstack([f_basis, pad]))[:, masks]
-    out_cols = gamma(np.hstack([e_basis, pad]))[:, full ^ masks] * signs
+    out_cols = gamma(np.hstack([e_basis, pad]))[:, masks[::-1]] * block[masks[::-1], masks].real
     matrix = out_cols @ in_cols.conj().T
     return T0Block(e_basis=e_basis, f_basis=f_basis, block=block, matrix=matrix)
 
@@ -277,17 +281,16 @@ def module_lift(t: np.ndarray, generators: int) -> RegularOperator:
     return regular_from_fock(generators, t)
 
 
-def cocycle(
-    r2: OrthogonalTransform, r1: OrthogonalTransform, tol: float = 1e-8
-) -> complex:
+def cocycle(r2: OrthogonalTransform, r1: OrthogonalTransform) -> complex:
     """Ray-representation multiplier chi in T(R2) T(R1) = chi T(R2 R1).
 
     Extracted at the largest-magnitude entry of T(R2 R1) and verified over
-    the full matrix; a residual above tol (relative to the matrix scale)
-    signals that the product is not a scalar multiple, i.e. a bug.
+    the full matrix; a residual above ``errors._RAY_TOL`` relative to the
+    matrix scale signals that the product is not a scalar multiple, i.e. a
+    bug.
     """
     prod = implement_general(r2).matrix @ implement_general(r1).matrix
-    chi, resid, ok = ray_phase(prod, implement_general(compose(r2, r1)).matrix, tol)
+    chi, resid, ok = ray_phase(prod, implement_general(compose(r2, r1)).matrix, _RAY_TOL)
     if not ok:
         raise ArithmeticError(
             f"product is not a scalar multiple of the composed implementer "
@@ -299,7 +302,8 @@ def cocycle(
 def ray_phase(
     prod: np.ndarray, t12: np.ndarray, tol: float
 ) -> tuple[complex, float, bool]:
-    """Phase chi with prod = chi t12, taken at the largest entry of t12.
+    """Phase chi with prod = chi t12 (matrices or vectors), taken at the
+    largest entry of t12.
 
     Returns chi, the residual max|prod - chi t12| and whether that residual
     is within tol relative to the scale of prod.
@@ -343,9 +347,7 @@ def vacuum_orbit(r: OrthogonalTransform) -> VacuumOrbit:
     )
 
 
-def orbit_transform(
-    r2: OrthogonalTransform, x1: np.ndarray, tol: float = 1e-8
-) -> tuple[complex, np.ndarray]:
+def orbit_transform(r2: OrthogonalTransform, x1: np.ndarray) -> tuple[complex, np.ndarray]:
     """Moebius action on vacuum-orbit coordinates:
 
         X3 = (U2 X1 + V2)(conj(U2) + conj(V2) X1)^(-1),
@@ -365,11 +367,10 @@ def orbit_transform(
     x3 = as_skew((r2.u @ x1 + r2.v) @ np.linalg.inv(denom), rtol=_MOEBIUS_SKEW)
     theta1 = c_norm(x1) * exp_omega(x1)
     theta3 = c_norm(x3) * exp_omega(x3)
+    # lhs is a unit vector, so ray_phase's relative check is an absolute one
     lhs = implement_general(r2).matrix @ theta1.amp
-    idx = int(np.argmax(np.abs(theta3.amp)))
-    chi = complex(lhs[idx] / theta3.amp[idx])
-    resid = float(np.max(np.abs(lhs - chi * theta3.amp)))
-    if resid > tol:
+    chi, resid, ok = ray_phase(lhs, theta3.amp, _RAY_TOL)
+    if not ok:
         raise ArithmeticError(
             f"transformed Gaussian does not match the Moebius image "
             f"(residual {resid:.3e})"

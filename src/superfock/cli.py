@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bogoliubov as bg
 from . import orthogroup as og
-from .errors import RankAmbiguityError, SkewnessError
+from .errors import _RAY_TOL, _RESIDUAL_TOL, RankAmbiguityError, SkewnessError
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -166,7 +166,7 @@ def cmd_compose(args: argparse.Namespace, report: dict) -> int:
     report["U"] = matrix_to_json(rc.u)
     report["V"] = matrix_to_json(rc.v)
     ta, tb, tc = (bg.implement_general(r).matrix for r in (ra, rb, rc))
-    chi, ray_residual, ok = bg.ray_phase(ta @ tb, tc, max(args.tol, 1e-8))
+    chi, ray_residual, ok = bg.ray_phase(ta @ tb, tc, max(args.tol, _RAY_TOL))
     report["chi"] = [float(chi.real), float(chi.imag)]
     report["residuals"] = {
         "abs_chi_minus_one": abs(abs(chi) - 1.0),
@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("-i", "--input", action="append", required=True,
                            help="transform JSON file (repeat for compose)")
-        p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance, finite and > 0")
+        p.add_argument("--tol", type=float, default=_RESIDUAL_TOL,
+                       help="residual tolerance, finite and > 0")
         p.add_argument("--strict-notation", action="store_true",
                        help="record index-set conventions of the duality block in the report")
 

@@ -2,6 +2,14 @@
 
 __all__ = ["SkewnessError", "RankAmbiguityError", "ChartError"]
 
+# as_skew's default rtol, and the floor of the rtol _cond_rtol derives from cond(U).
+_SKEW_RTOL = 1e-10
+# validate, the CLI --tol, selftest and the t0_duality and Weyl preconditions.
+_RESIDUAL_TOL = 1e-9
+# T(R2) T(R1) = chi T(R2 R1) within _RAY_TOL * scale: cocycle, orbit_transform
+# and the floor under the CLI compose --tol.
+_RAY_TOL = 1e-8
+_COND_WARN = 1e8  # implement_invertible warns above this cond(U)
 # Singular values of U below RANK_ZERO * smax are kernel directions, above
 # RANK_KEEP * smax they count as nonzero; the band in between is reported as
 # ambiguous because the kernel dimension selects the representation branch.
@@ -10,9 +18,11 @@ RANK_KEEP = 1e-8
 # Singular values at or below _RCOND * smax are never inverted.
 _RCOND = 1e-12
 # skew_canonical: X X^dag eigenvalues <= _SKEW_KERNEL * d * max span ker X;
-# a pairing norm must exceed _SKEW_PAIR * zmax, a kept QR |r_ii| _SKEW_PAIR * max(zmax, 1).
+# a pairing norm must exceed _SKEW_PAIR * zmax, a kept QR |r_ii| _SKEW_PAIR * max(zmax, 1);
+# pair values within _SKEW_CLUSTER * zmax form one cluster.
 _SKEW_KERNEL = 1e-13
 _SKEW_PAIR = 1e-10
+_SKEW_CLUSTER = 1e-8
 # orbit_transform: the chart edge of smin / max(smax, 1) and X3's skew rtol.
 _CHART_EDGE = 1e-10
 _MOEBIUS_SKEW = 1e-8

@@ -38,7 +38,6 @@ __all__ = [
     "annihilate",
     "delta",
     "gamma",
-    "apply_operator",
     "tau",
 ]
 
@@ -186,7 +185,3 @@ def gamma(b: np.ndarray) -> np.ndarray:
         op[:, rest | (1 << k)] = create_apply(b[:, k], op[:, rest], d)
     return op
 
-
-def apply_operator(op: np.ndarray, f: FockVector) -> FockVector:
-    """Apply a dense Fock-space operator to a vector."""
-    return FockVector(f.modes, op @ f.amp)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tables import create_apply, reversal_signs
-from .errors import _SKEW_KERNEL, _SKEW_PAIR, SkewnessError
+from .errors import _SKEW_CLUSTER, _SKEW_KERNEL, _SKEW_PAIR, _SKEW_RTOL, SkewnessError
 from .fock import FockVector
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-def as_skew(x: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def as_skew(x: np.ndarray, rtol: float = _SKEW_RTOL) -> np.ndarray:
     """Validate skew-symmetry and return the symmetrized (X - X^T)/2.
 
     Accepts X when max|X + X^T| <= rtol * (1 + max|X|), which tolerates I/O
@@ -64,19 +64,19 @@ def pfaffian_all_subsets(x: np.ndarray) -> np.ndarray:
     return pf
 
 
-def pfaffian(x: np.ndarray, rtol: float = 1e-10) -> complex:
+def pfaffian(x: np.ndarray) -> complex:
     """Pfaffian of a skew matrix; 0 for odd dimension, Pf(X)^2 = det(X)."""
-    x = as_skew(x, rtol=rtol)
+    x = as_skew(x)
     return complex(pfaffian_all_subsets(x)[-1]) if len(x) % 2 == 0 else 0j
 
 
-def omega(x: np.ndarray, rtol: float = 1e-10) -> FockVector:
+def omega(x: np.ndarray) -> FockVector:
     """Degree-2 tensor with <<Omega(X), f ^ g>> = <<f, X g>> for all f, g.
 
     With the real involution e_k* = e_k this amounts to the amplitude
     -X[i, j] on the pair subset {i, j}, i < j; norm^2 = |X|_HS^2 / 2.
     """
-    x = as_skew(x, rtol=rtol)
+    x = as_skew(x)
     d = x.shape[0]
     amp = np.zeros(1 << d, dtype=complex)
     for i in range(d):
@@ -85,13 +85,13 @@ def omega(x: np.ndarray, rtol: float = 1e-10) -> FockVector:
     return FockVector(d, amp)
 
 
-def exp_omega(x: np.ndarray, rtol: float = 1e-10) -> FockVector:
+def exp_omega(x: np.ndarray) -> FockVector:
     """Gaussian vector exp Omega(X) = sum_p Omega(X)^p / p!.
 
     Amplitude on an even subset A is (-1)^(|A|(|A|-1)/2) Pf(X_A); odd
     subsets carry 0 and the vacuum amplitude is 1.
     """
-    x = as_skew(x, rtol=rtol)
+    x = as_skew(x)
     d = x.shape[0]
     return FockVector(d, reversal_signs(d) * pfaffian_all_subsets(x))
 
@@ -128,16 +128,14 @@ class SkewCanonicalForm:
         return np.array(cols).T
 
 
-def skew_canonical(
-    x: np.ndarray, rtol: float = 1e-10, cluster_rtol: float = 1e-8
-) -> SkewCanonicalForm:
+def skew_canonical(x: np.ndarray) -> SkewCanonicalForm:
     """Youla-type canonical form of a skew matrix.
 
     Pairs are found from the eigenstructure of X X^dag, matched through the
     antilinear action f -> X f* (which sends e_-m to z_m e_m); degenerate
     eigenvalue clusters are resolved by projection in discovery order.
     """
-    x = as_skew(x, rtol=rtol)
+    x = as_skew(x)
     d = x.shape[0]
     if d == 0:
         return SkewCanonicalForm(
@@ -162,7 +160,7 @@ def skew_canonical(
     while k < d and nonzero[k]:
         # cluster of (numerically) equal z values
         j = k
-        while j < d and nonzero[j] and abs(zs[j] - zs[k]) <= cluster_rtol * zmax:
+        while j < d and nonzero[j] and abs(zs[j] - zs[k]) <= _SKEW_CLUSTER * zmax:
             j += 1
         block = evecs[:, k:j].copy()
         while block.shape[1] > 0:
@@ -194,14 +192,14 @@ def skew_canonical(
     return SkewCanonicalForm(z, e_plus, e_minus, kern)
 
 
-def overlap_det(x: np.ndarray, y: np.ndarray, rtol: float = 1e-10) -> complex:
+def overlap_det(x: np.ndarray, y: np.ndarray) -> complex:
     """Inner product (exp Omega(X) | exp Omega(Y)) as a subset-Pfaffian sum.
 
     Equals sum_A conj(Pf(X_A)) Pf(Y_A); its square is det(I + X^dag Y).  The
     series form fixes the square-root branch unambiguously.
     """
-    x = as_skew(x, rtol=rtol)
-    y = as_skew(y, rtol=rtol)
+    x = as_skew(x)
+    y = as_skew(y)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     pfx = pfaffian_all_subsets(x)
@@ -209,12 +207,12 @@ def overlap_det(x: np.ndarray, y: np.ndarray, rtol: float = 1e-10) -> complex:
     return complex(np.sum(np.conj(pfx) * pfy))  # np.sum, not a BLAS call
 
 
-def gaussian_norm(x: np.ndarray, rtol: float = 1e-10) -> float:
+def gaussian_norm(x: np.ndarray) -> float:
     """Squared Fock norm of exp Omega(X): sqrt(det(I + X^dag X)).
 
     Also equals the product of (1 + z_m^2) over the canonical pair values
     and is bounded by exp(|X|_HS^2 / 2).
     """
-    x = as_skew(x, rtol=rtol)
+    x = as_skew(x)
     evals = np.linalg.eigvalsh(np.eye(x.shape[0]) + x.conj().T @ x)
     return float(np.sqrt(np.prod(evals)))

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import _RCOND, RANK_KEEP, RANK_ZERO, RankAmbiguityError
+from .errors import _RCOND, _RESIDUAL_TOL, _SKEW_RTOL, RANK_KEEP, RANK_ZERO, RankAmbiguityError
 from .gaussian import as_skew
 
 __all__ = [
@@ -47,12 +47,12 @@ __all__ = [
 
 def _cond_rtol(s: np.ndarray) -> tuple[float, float]:
     """cond = s[0] / s[-1] of descending nonzero singular values (1 for an
-    empty spectrum) and the skewness tolerance max(1e-10, 64 eps cond)."""
+    empty spectrum) and the skewness tolerance max(_SKEW_RTOL, 64 eps cond)."""
     cond = float(s[0] / s[-1]) if s.size else 1.0
-    return cond, max(1e-10, 64 * np.finfo(float).eps * cond)
+    return cond, max(_SKEW_RTOL, 64 * np.finfo(float).eps * cond)
 
 
-def validate(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> dict:
+def validate(u: np.ndarray, v: np.ndarray, tol: float = _RESIDUAL_TOL) -> dict:
     """Residual report for the four defining identities.
 
     Returns max-abs residuals keyed by identity plus 'max' and 'ok'.
@@ -77,20 +77,30 @@ def validate(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> dict:
 class OrthogonalTransform:
     """Validated element R(U, V) of the restricted orthogonal group."""
 
-    def __init__(self, u: np.ndarray, v: np.ndarray, tol: float = 1e-9, check: bool = True):
+    def __init__(self, u: np.ndarray, v: np.ndarray, check: bool = True):
         u = np.asarray(u, dtype=complex).copy()
         v = np.asarray(v, dtype=complex).copy()
         if check:
-            report = validate(u, v, tol)
+            report = validate(u, v)
             if not report["ok"]:
                 raise ValueError(
-                    f"not an orthogonal transformation: max residual {report['max']:.3e} > {tol:.1e}"
+                    "not an orthogonal transformation: max residual "
+                    f"{report['max']:.3e} > {_RESIDUAL_TOL:.1e}"
                 )
         u.setflags(write=False)
         v.setflags(write=False)
         self.u = u
         self.v = v
         self.d = u.shape[0]
+
+    @cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (W, s, Z^dag), U = W diag(s) Z^dag: the one SVD of U,
+        shared by the kernel, the coset coordinate and the implementer."""
+        svd = tuple(np.linalg.svd(self.u))
+        for a in svd:
+            a.setflags(write=False)
+        return svd
 
     @cached_property
     def kernel(self) -> "KernelDecomposition":
@@ -196,7 +206,7 @@ class KernelDecomposition:
 def kernel_decomposition(r: OrthogonalTransform) -> KernelDecomposition:
     """Numerically determined kernel data of U with banded rank decisions."""
     d = r.d
-    w, s, zh = np.linalg.svd(r.u)
+    w, s, zh = r._svd
     zero = _split_singular(s)
     n = int(np.sum(zero))
     h0 = _canonical_basis(w[:, zero])
@@ -210,14 +220,18 @@ def kernel_decomposition(r: OrthogonalTransform) -> KernelDecomposition:
     )
 
 
-def gen_inverse(a: np.ndarray, rcond: float = _RCOND) -> np.ndarray:
+def gen_inverse(a: np.ndarray) -> np.ndarray:
     """Generalized inverse: the inverse on ran A, zero on (ran A)^perp.
 
     Satisfies A A^(-1) = projector onto ran A and A^(-1) A = projector onto
     ran A^dag (Moore-Penrose on closed-range finite matrices).
     """
-    a = np.asarray(a, dtype=complex)
-    w, s, zh = np.linalg.svd(a)
+    return _pinv(*np.linalg.svd(np.asarray(a, dtype=complex)), _RCOND)
+
+
+def _pinv(w: np.ndarray, s: np.ndarray, zh: np.ndarray, rcond: float) -> np.ndarray:
+    """Generalized inverse from the SVD A = W diag(s) Z^dag, inverting the
+    singular values above rcond * s[0]."""
     keep = s > rcond * (s[0] if s.size else 0.0)
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
@@ -243,17 +257,17 @@ def coset_coordinate(r: OrthogonalTransform) -> CosetPoint:
     the coset.  Invariant under R -> R R(S,0).
     """
     kd = r.kernel
-    x_raw = r.v @ np.conj(gen_inverse(r.u, RANK_ZERO))
+    w, s, zh = r._svd
+    x_raw = r.v @ np.conj(_pinv(w, s, zh, RANK_ZERO))
     # with a kernel the tolerance stays at its floor
-    s = np.linalg.svd(r.u, compute_uv=False) if kd.n == 0 else np.ones(0)
-    _, rtol = _cond_rtol(s)
+    _, rtol = _cond_rtol(s if kd.n == 0 else s[:0])
     return CosetPoint(x=as_skew(x_raw, rtol=rtol), h0=kd.h0)
 
 
-def lift(x: np.ndarray, rtol: float = 1e-10) -> OrthogonalTransform:
+def lift(x: np.ndarray) -> OrthogonalTransform:
     """Transform on the orbit labelled by skew X:
     R((I + X X^dag)^(-1/2), X (I + X^dag X)^(-1/2))."""
-    x = as_skew(x, rtol=rtol)
+    x = as_skew(x)
     d = x.shape[0]
     u = _inv_sqrt_psd(np.eye(d) + x @ x.conj().T)
     w = x @ _inv_sqrt_psd(np.eye(d) + x.conj().T @ x)

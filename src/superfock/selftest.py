@@ -15,6 +15,7 @@ import numpy as np
 from . import bogoliubov as bg
 from . import orthogroup as og
 from ._tables import popcounts
+from .errors import _RESIDUAL_TOL
 from .fock import delta, gamma
 from .gaussian import overlap_det
 from .grassmann import gexp, gproduct
@@ -221,7 +222,7 @@ def _check_r46(d, rng, trials=5):
 
 
 def run_selftest(
-    modes: int = 4, generators: int = 3, seed: int = 0, tol: float = 1e-9
+    modes: int = 4, generators: int = 3, seed: int = 0, tol: float = _RESIDUAL_TOL
 ) -> dict:
     """Run the invariant battery; returns a report dict.
 

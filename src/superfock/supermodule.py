@@ -98,13 +98,6 @@ class ModuleTensor(FrozenArray):
         amp[0, :] = f.amp
         return cls(generators, f.modes, amp)
 
-    @classmethod
-    def embed_grassmann(cls, lam: GrassmannElement, modes: int) -> "ModuleTensor":
-        """lam (x) 1_vac."""
-        amp = np.zeros((1 << lam.generators, 1 << modes), dtype=complex)
-        amp[:, 0] = lam.amp
-        return cls(lam.generators, modes, amp)
-
     # -- structure -----------------------------------------------------------
 
     def parity(self) -> str:
@@ -129,17 +122,9 @@ class ModuleTensor(FrozenArray):
         )
         return ModuleTensor(self.generators, self.modes, signs * np.conj(self.amp))
 
-    def apply_fock(self, op: np.ndarray) -> "ModuleTensor":
-        """Action of k_0 (x) T."""
-        return ModuleTensor(self.generators, self.modes, self.amp @ op.T)
-
     def flatten(self) -> np.ndarray:
         """Amplitudes as a vector, generator index major (matches kron order)."""
         return self.amp.reshape(-1)
-
-    @classmethod
-    def from_flat(cls, generators: int, modes: int, vec: np.ndarray) -> "ModuleTensor":
-        return cls(generators, modes, vec.reshape(1 << generators, 1 << modes))
 
     def __repr__(self) -> str:
         return (
@@ -276,9 +261,9 @@ def coherent(xi: SuperVector) -> ModuleTensor:
     return result
 
 
-def ultracoherent(x: np.ndarray, xi: SuperVector, rtol: float = 1e-10) -> ModuleTensor:
+def ultracoherent(x: np.ndarray, xi: SuperVector) -> ModuleTensor:
     """Ultracoherent vector Psi(X, xi) = exp(xi) o (k_0 (x) exp Omega(X))."""
-    gauss = ModuleTensor.embed_fock(xi.generators, exp_omega(x, rtol=rtol))
+    gauss = ModuleTensor.embed_fock(xi.generators, exp_omega(x))
     return mproduct(coherent(xi), gauss)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import _RESIDUAL_TOL
 from .gaussian import as_skew
 from .grassmann import GrassmannElement, gexp
 from .supermodule import (
@@ -101,39 +102,38 @@ def weyl_on_coherent(eta: SuperVector, xi: SuperVector) -> ModuleTensor:
     return gmul(phase, coherent(eta + xi))
 
 
-def weyl_on_ultracoherent(
-    eta: SuperVector, x: np.ndarray, xi: SuperVector, rtol: float = 1e-10
-) -> ModuleTensor:
+def weyl_on_ultracoherent(eta: SuperVector, x: np.ndarray, xi: SuperVector) -> ModuleTensor:
     """Closed form of W(eta) Psi(X, xi):
 
     e^{-(eta|eta)/2 + (eta | X eta* - 2 xi)/2} Psi(X, xi + eta - X eta*).
     """
-    x = as_skew(x, rtol=rtol)
+    x = as_skew(x)
     x_eta_star = eta.star().apply(x)
     expo = (-0.5) * super_inner(eta, eta) + 0.5 * super_inner(
         eta, x_eta_star - 2.0 * xi
     )
-    return gmul(gexp(expo), ultracoherent(x, xi + eta - x_eta_star, rtol=rtol))
+    return gmul(gexp(expo), ultracoherent(x, xi + eta - x_eta_star))
 
 
-def weyl_restricted(s: np.ndarray, p: np.ndarray, eta: SuperVector, tol: float = 1e-9) -> float:
+def weyl_restricted(s: np.ndarray, p: np.ndarray, eta: SuperVector) -> float:
     """Residual of the subspace-restriction identity
 
         Gamma^(S) W(eta) Gamma^(S^dag P) = W(S eta) Gamma^(P)
 
     for S restricting to a unitary on ran P and eta supported on ran P.
-    Preconditions are checked; returns the dense max-abs residual.
+    Preconditions are checked to ``errors._RESIDUAL_TOL``; returns the dense
+    max-abs residual.
     """
     s = np.asarray(s, dtype=complex)
     p = np.asarray(p, dtype=complex)
-    if np.max(np.abs(p @ p - p)) > tol or np.max(np.abs(p - p.conj().T)) > tol:
+    if np.max(np.abs(p @ p - p)) > _RESIDUAL_TOL or np.max(np.abs(p - p.conj().T)) > _RESIDUAL_TOL:
         raise ValueError("p must be an orthogonal projector")
-    if np.max(np.abs(p @ s - s @ p)) > tol:
+    if np.max(np.abs(p @ s - s @ p)) > _RESIDUAL_TOL:
         raise ValueError("s must commute with p")
     sp = s @ p
-    if np.max(np.abs(sp.conj().T @ sp - p)) > tol:
+    if np.max(np.abs(sp.conj().T @ sp - p)) > _RESIDUAL_TOL:
         raise ValueError("s must restrict to a unitary on ran p")
-    if np.max(np.abs(eta.coeff @ p.T - eta.coeff)) > tol:
+    if np.max(np.abs(eta.coeff @ p.T - eta.coeff)) > _RESIDUAL_TOL:
         raise ValueError("eta must be supported on ran p")
     g = eta.generators
     lhs = (
@@ -149,12 +149,7 @@ def weyl_restricted(s: np.ndarray, p: np.ndarray, eta: SuperVector, tol: float =
 
 
 def weyl_factorize(
-    eta: SuperVector,
-    p1: np.ndarray,
-    p2: np.ndarray,
-    xi1: ModuleTensor,
-    xi2: ModuleTensor,
-    tol: float = 1e-9,
+    eta: SuperVector, p1: np.ndarray, p2: np.ndarray, xi1: ModuleTensor, xi2: ModuleTensor
 ) -> ModuleTensor:
     """Factorized action of W((P1+P2) eta) on a product Xi1 o Xi2:
 
@@ -164,7 +159,7 @@ def weyl_factorize(
     """
     p1 = np.asarray(p1, dtype=complex)
     p2 = np.asarray(p2, dtype=complex)
-    if np.max(np.abs(p1 @ p2)) > tol:
+    if np.max(np.abs(p1 @ p2)) > _RESIDUAL_TOL:
         raise ValueError("projectors must be orthogonal to each other")
     parity = xi1.parity()
     if parity == "mixed":

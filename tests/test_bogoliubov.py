@@ -254,11 +254,26 @@ def test_intertwining_residual_builds_no_dense_fock_operator(monkeypatch, rng):
 
     for module, name in [
         (fock, "create"), (fock, "delta"), (fock, "left_multiplication"),
-        (bg, "delta"), (bg, "left_multiplication"), (_tables, "left_multiplication"),
+        (bg, "left_multiplication"), (_tables, "left_multiplication"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     for t, w in zip(cases, want):
         assert abs(bg.intertwining_residual(r, t) - w) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_particle_hole_block_is_a_signed_complement(n):
+    # PH_n = Delta(e_0) ... Delta(e_{n-1}) Gamma((-1)^(n+1) I), built densely
+    ph = gamma((-1.0) ** (n + 1) * np.eye(n))
+    for k in reversed(range(n)):
+        ph = delta(np.eye(n)[k]) @ ph
+    assert np.array_equal(bg._signed_complement(n, shift=1), ph)
+    # shift 0 is the duality block's sign (-1)^tau(K, M), tau by its definition
+    full = (1 << n) - 1
+    want = np.zeros((1 << n, 1 << n))
+    for k in range(1 << n):
+        want[full ^ k, k] = (-1.0) ** _tables.tau(k, full)
+    assert np.array_equal(bg._signed_complement(n), want)
 
 
 def test_t0_duality_block(rng):
