@@ -10,13 +10,13 @@ import scipy.linalg
 
 from superfock import (
     SuperVector,
+    WeylOperator,
     coherent,
     gexp,
     lambda_inner,
     omega_form,
     random_skew,
     ultracoherent,
-    weyl,
     weyl_on_coherent,
     weyl_on_ultracoherent,
 )
@@ -31,7 +31,7 @@ def rand_sv(scale=0.8):
 
 
 xi, eta = rand_sv(), rand_sv()
-w = weyl(eta)
+w = WeylOperator(eta)
 
 print("== two realizations of the same operator ==")
 print("normal-ordered vs matrix exponential:",
@@ -44,9 +44,9 @@ rhs = weyl_on_coherent(eta, xi)
 print("closed-form residual:", np.max(np.abs(lhs.amp - rhs.amp)))
 
 print("\n== group law with a Grassmann phase ==")
-prod = weyl(xi).materialize() @ w.materialize()
+prod = WeylOperator(xi).materialize() @ w.materialize()
 phase = gexp((-1j) * omega_form(xi, eta))
-law = weyl(xi + eta).regular.left_gmul(phase).materialize()
+law = WeylOperator(xi + eta).regular.left_gmul(phase).materialize()
 print("W(xi) W(eta) - e^{-i omega} W(xi + eta):", np.max(np.abs(prod - law)))
 print("omega(xi, eta) is nilpotent of degree 2; its exponential has",
       np.count_nonzero(phase.amp), "nonzero amplitudes")
@@ -54,7 +54,7 @@ print("omega(xi, eta) is nilpotent of degree 2; its exponential has",
 print("\n== unitarity and inverse ==")
 dim = 1 << (G + d)
 print("W(eta) W(-eta) = id:",
-      np.max(np.abs(w.materialize() @ weyl(-eta).materialize() - np.eye(dim))))
+      np.max(np.abs(w.materialize() @ WeylOperator(-eta).materialize() - np.eye(dim))))
 a = coherent(rand_sv())
 b = coherent(rand_sv())
 print("module inner product preserved:",

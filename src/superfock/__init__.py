@@ -79,18 +79,15 @@ from .supermodule import (
     regular_from_fock,
     super_inner,
     super_pairing,
-    superadjoint,
     ultracoherent,
     weighted_norm,
 )
 from .weyl import (
     WeylOperator,
     omega_form,
-    weyl,
     weyl_factorize,
     weyl_on_coherent,
     weyl_on_ultracoherent,
-    weyl_restricted,
 )
 from .bogoliubov import (
     Implementer,

@@ -7,10 +7,11 @@ to stdout (deterministic for fixed input and seed) and human-readable
 warnings to stderr.
 
 Exit codes: 0 ok, 1 mathematical validation failure, 2 usage (``--tol`` must
-be finite and > 0), I/O or parse error, 3 numerical ambiguity (rank-decision
-band).  ``main`` builds the base report and prints it exactly once: a command
-fills it in and returns an exit code or raises ``_Failure(code, error)``, and
-a ``RankAmbiguityError`` from any command becomes exit 3.
+be finite and > 0), I/O or parse error, or dense operators above
+``errors._DENSE_BYTES_LIMIT``, 3 numerical ambiguity (rank-decision band).
+``main`` builds the base report and prints it exactly once: a command fills
+it in and returns an exit code or raises ``_Failure(code, error)``, and a
+``RankAmbiguityError`` from any command becomes exit 3.
 """
 
 from __future__ import annotations
@@ -23,13 +24,23 @@ import numpy as np
 
 from . import bogoliubov as bg
 from . import orthogroup as og
-from .errors import _RAY_TOL, _RESIDUAL_TOL, RankAmbiguityError, SkewnessError
-from .selftest import run_selftest
+from .errors import (
+    _DENSE_BYTES_LIMIT,
+    _RAY_TOL,
+    _RESIDUAL_TOL,
+    RankAmbiguityError,
+    SkewnessError,
+    operator_bytes,
+)
+from .selftest import dense_bytes, run_selftest
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_AMBIGUOUS = 3
+# dense 2^d x 2^d operators alive at once, measured at d = 8, 9
+IMPLEMENT_OPERATORS = 7
+COMPOSE_OPERATORS = 9
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -92,6 +103,15 @@ def _load(path: str) -> tuple[int, np.ndarray, np.ndarray]:
         raise _Failure(EXIT_IO, str(exc)) from exc
 
 
+def _within_limit(nbytes: float, what: str) -> None:
+    if nbytes > _DENSE_BYTES_LIMIT:
+        raise _Failure(
+            EXIT_IO,
+            f"{what} needs about {nbytes / 2**30:.3g} GiB of dense operators, "
+            f"above the {_DENSE_BYTES_LIMIT / 2**30:.3g} GiB limit",
+        )
+
+
 def _valid_transform(u, v, tol: float, which: str = "") -> og.OrthogonalTransform:
     res = og.validate(u, v, tol)
     if not res["ok"]:
@@ -124,6 +144,7 @@ def cmd_check(args: argparse.Namespace, report: dict) -> int:
 def cmd_implement(args: argparse.Namespace, report: dict) -> int:
     report.update(input=args.input[0], out=args.out)
     d, u, v = _load(args.input[0])
+    _within_limit(operator_bytes(IMPLEMENT_OPERATORS, d), f"implement at d = {d}")
     residuals = og.validate(u, v, args.tol)
     report["residuals"] = {"validation_max": residuals["max"]}
     if not residuals["ok"]:
@@ -160,6 +181,7 @@ def cmd_compose(args: argparse.Namespace, report: dict) -> int:
     (d1, u1, v1), (d2, u2, v2) = (_load(path) for path in args.input)
     if d1 != d2:
         raise _Failure(EXIT_IO, f"dimension mismatch: {d1} != {d2}")
+    _within_limit(operator_bytes(COMPOSE_OPERATORS, d1), f"compose at d = {d1}")
     ra = _valid_transform(u1, v1, args.tol, "first ")
     rb = _valid_transform(u2, v2, args.tol, "second ")
     rc = og.compose(ra, rb)
@@ -200,10 +222,10 @@ def cmd_selftest(args: argparse.Namespace, report: dict) -> int:
             EXIT_IO,
             f"need --modes >= 1 and --generators >= 0, got {args.modes} and {args.generators}",
         )
-    if args.modes > 3 and args.generators > 0:
-        report["warnings"].append(
-            f"modes = {args.modes}: module-space checks run on min(modes, 3) modes"
-        )
+    _within_limit(
+        dense_bytes(args.modes, args.generators),
+        f"selftest at --modes {args.modes} --generators {args.generators}",
+    )
     result = run_selftest(
         modes=args.modes, generators=args.generators, seed=args.seed, tol=args.tol
     )

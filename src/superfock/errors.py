@@ -1,6 +1,7 @@
-"""Exception types and numerical decision thresholds shared across the package."""
+"""Exception types, numerical decision thresholds and the dense-size limit
+shared across the package."""
 
-__all__ = ["SkewnessError", "RankAmbiguityError", "ChartError"]
+__all__ = ["SkewnessError", "RankAmbiguityError", "ChartError", "operator_bytes"]
 
 # as_skew's default rtol, and the floor of the rtol _cond_rtol derives from cond(U).
 _SKEW_RTOL = 1e-10
@@ -26,6 +27,15 @@ _SKEW_CLUSTER = 1e-8
 # orbit_transform: the chart edge of smin / max(smax, 1) and X3's skew rtol.
 _CHART_EDGE = 1e-10
 _MOEBIUS_SKEW = 1e-8
+# The CLI exits 2 instead of starting work whose dense operators would take
+# more than this many bytes together.
+_DENSE_BYTES_LIMIT = 2 << 30
+
+
+def operator_bytes(count: int, bits: int) -> float:
+    """Bytes of ``count`` dense complex 2^bits x 2^bits matrices, 16 * 4^bits
+    each; bits beyond 64 count as 64, which is over any limit already."""
+    return count * 16 * 4.0 ** min(bits, 64)
 
 
 class SkewnessError(ValueError):

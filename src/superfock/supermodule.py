@@ -50,7 +50,6 @@ __all__ = [
     "ultracoherent",
     "b_plus",
     "b_minus",
-    "superadjoint",
     "weighted_norm",
     "regular_from_fock",
     "coherent_family_coefficients",
@@ -373,11 +372,6 @@ def b_plus(eta: SuperVector) -> RegularOperator:
 def b_minus(eta: SuperVector) -> RegularOperator:
     """Module annihilation operator, the superadjoint of b+(eta)."""
     return b_plus(eta).superadjoint()
-
-
-def superadjoint(op: RegularOperator) -> RegularOperator:
-    """Superadjoint of a regular operator (module-level convenience)."""
-    return op.superadjoint()
 
 
 def coherent_family_coefficients(generators: int, modes: int) -> np.ndarray:

@@ -28,19 +28,15 @@ from .supermodule import (
     coherent,
     gmul,
     mproduct,
-    regular_from_fock,
     super_inner,
     ultracoherent,
 )
-from .fock import gamma
 
 __all__ = [
     "omega_form",
     "WeylOperator",
-    "weyl",
     "weyl_on_coherent",
     "weyl_on_ultracoherent",
-    "weyl_restricted",
     "weyl_factorize",
 ]
 
@@ -92,10 +88,6 @@ class WeylOperator:
         return f"WeylOperator(generators={self.eta.generators}, modes={self.eta.modes})"
 
 
-def weyl(eta: SuperVector) -> WeylOperator:
-    return WeylOperator(eta)
-
-
 def weyl_on_coherent(eta: SuperVector, xi: SuperVector) -> ModuleTensor:
     """Closed form of W(eta) exp xi."""
     phase = gexp((-1.0) * super_inner(eta, xi) + (-0.5) * super_inner(eta, eta))
@@ -113,39 +105,6 @@ def weyl_on_ultracoherent(eta: SuperVector, x: np.ndarray, xi: SuperVector) -> M
         eta, x_eta_star - 2.0 * xi
     )
     return gmul(gexp(expo), ultracoherent(x, xi + eta - x_eta_star))
-
-
-def weyl_restricted(s: np.ndarray, p: np.ndarray, eta: SuperVector) -> float:
-    """Residual of the subspace-restriction identity
-
-        Gamma^(S) W(eta) Gamma^(S^dag P) = W(S eta) Gamma^(P)
-
-    for S restricting to a unitary on ran P and eta supported on ran P.
-    Preconditions are checked to ``errors._RESIDUAL_TOL``; returns the dense
-    max-abs residual.
-    """
-    s = np.asarray(s, dtype=complex)
-    p = np.asarray(p, dtype=complex)
-    if np.max(np.abs(p @ p - p)) > _RESIDUAL_TOL or np.max(np.abs(p - p.conj().T)) > _RESIDUAL_TOL:
-        raise ValueError("p must be an orthogonal projector")
-    if np.max(np.abs(p @ s - s @ p)) > _RESIDUAL_TOL:
-        raise ValueError("s must commute with p")
-    sp = s @ p
-    if np.max(np.abs(sp.conj().T @ sp - p)) > _RESIDUAL_TOL:
-        raise ValueError("s must restrict to a unitary on ran p")
-    if np.max(np.abs(eta.coeff @ p.T - eta.coeff)) > _RESIDUAL_TOL:
-        raise ValueError("eta must be supported on ran p")
-    g = eta.generators
-    lhs = (
-        regular_from_fock(g, gamma(s)).materialize()
-        @ WeylOperator(eta).materialize()
-        @ regular_from_fock(g, gamma(s.conj().T @ p)).materialize()
-    )
-    rhs = (
-        WeylOperator(eta.apply(s)).materialize()
-        @ regular_from_fock(g, gamma(p)).materialize()
-    )
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 def weyl_factorize(

@@ -8,12 +8,14 @@ import pytest
 import scipy.sparse
 
 import superfock.orthogroup as og
+import superfock.selftest as battery
 from superfock import bogoliubov as bg
 from superfock._tables import popcounts
 from superfock.errors import ChartError
 from superfock.fock import FockVector, delta, gamma, wedge
-from superfock.gaussian import exp_omega, gaussian_norm, overlap_det, skew_canonical
+from superfock.gaussian import exp_omega, gaussian_norm, skew_canonical
 from superfock.grassmann import GrassmannElement, gexp, gnorm, gproduct
+from superfock.selftest import random_supervector
 from superfock.supermodule import (
     ModuleTensor,
     SuperVector,
@@ -21,12 +23,9 @@ from superfock.supermodule import (
     b_plus,
     coherent,
     coherent_family_coefficients,
-    lambda_inner,
     mproduct,
-    super_inner,
-    ultracoherent,
 )
-from superfock.weyl import omega_form, weyl, weyl_on_coherent, weyl_on_ultracoherent
+from superfock.weyl import WeylOperator, weyl_on_coherent
 
 from conftest import random_complex
 from oracles import coherent_amplitudes_batch
@@ -59,13 +58,9 @@ def test_criterion_01_car_suite():
 
 def test_criterion_02_overlap_determinant():
     rng = np.random.default_rng(2)
-    worst = 0.0
-    for d in (2, 4, 6):
-        for _ in range(200):
-            x, y = og.random_skew(d, rng, 1.0), og.random_skew(d, rng, 1.0)
-            val = overlap_det(x, y) ** 2
-            det = np.linalg.det(np.eye(d) + x.conj().T @ y)
-            worst = max(worst, abs(val - det) / max(1.0, abs(det)))
+    worst = max(
+        battery.gaussian_overlap_determinant(rng, d, trials=200, scale=1.0) for d in (2, 4, 6)
+    )
     report(2, "subset-Pfaffian overlap squares to det(I + X^dag Y)", worst, 1e-9)
 
 
@@ -177,52 +172,25 @@ def test_criterion_07_bcs_closed_forms():
 def test_criterion_08_weyl_suite():
     rng = np.random.default_rng(8)
     g = d = 3
-
-    def rand_sv(scale=0.8):
-        return SuperVector(scale * random_complex(rng, g, d))
-
     worst = 0.0
     for _ in range(50):
-        eta, xi = rand_sv(), rand_sv()
-        lhs = weyl(eta).apply(coherent(xi))
+        eta, xi = random_supervector(rng, g, d), random_supervector(rng, g, d)
+        lhs = WeylOperator(eta).apply(coherent(xi))
         rhs = weyl_on_coherent(eta, xi)
         worst = max(worst, float(np.max(np.abs(lhs.amp - rhs.amp))))
     report(8, "Weyl action on coherent vectors", worst, 1e-10)
 
-    worst = 0.0
-    for _ in range(10):
-        xi, eta = rand_sv(), rand_sv()
-        lhs = weyl(xi).materialize() @ weyl(eta).materialize()
-        phase = gexp((-1j) * omega_form(xi, eta))
-        rhs = weyl(xi + eta).regular.left_gmul(phase).materialize()
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    report(8, "Weyl group law (dense operators)", worst, 1e-9)
-
-    worst = 0.0
-    for _ in range(10):
-        w = weyl(rand_sv())
-        a = ModuleTensor(g, d, random_complex(rng, 1 << g, 1 << d))
-        b = ModuleTensor(g, d, random_complex(rng, 1 << g, 1 << d))
-        diff = lambda_inner(w.apply(a), w.apply(b)).amp - lambda_inner(a, b).amp
-        worst = max(worst, float(np.max(np.abs(diff))))
-    report(8, "Weyl isometry of the module inner product", worst, 1e-10)
-
-    worst = 0.0
-    for _ in range(10):
-        eta, xi = rand_sv(), rand_sv()
-        x = og.random_skew(d, rng)
-        lhs = weyl_on_ultracoherent(eta, x, xi).flatten()
-        rhs = weyl(eta).materialize() @ ultracoherent(x, xi).flatten()
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    report(8, "Weyl action on ultracoherent vectors", worst, 1e-9)
+    report(8, "Weyl group law (dense operators)", battery.weyl_group_law(rng, g, d, 10), 1e-9)
+    report(8, "Weyl isometry of the module inner product", battery.weyl_isometry(rng, g, d, 10), 1e-10)
+    report(8, "Weyl action on ultracoherent vectors", battery.weyl_on_ultracoherent(rng, g, d, 10), 1e-9)
 
     worst = 0.0
     step = 1e-5
     for _ in range(10):
-        eta, xi = rand_sv(), rand_sv()
+        eta, xi = random_supervector(rng, g, d), random_supervector(rng, g, d)
         ce = coherent(xi)
         numeric = (
-            weyl(step * eta).apply(ce).amp - weyl((-step) * eta).apply(ce).amp
+            WeylOperator(step * eta).apply(ce).amp - WeylOperator((-step) * eta).apply(ce).amp
         ) / (2 * step)
         exact = (b_plus(eta) - b_minus(eta)).apply(ce).amp
         worst = max(worst, float(np.max(np.abs(numeric - exact))))
@@ -230,16 +198,7 @@ def test_criterion_08_weyl_suite():
 
 
 def test_criterion_09_module_intertwining():
-    rng = np.random.default_rng(9)
-    g = d = 3
-    worst = 0.0
-    for _ in range(20):
-        r = og.random_transform(d, rng)
-        that = bg.module_lift(bg.implement_general(r).matrix, g).materialize()
-        xi = SuperVector(0.8 * random_complex(rng, g, d))
-        w = weyl(xi).materialize()
-        wr = weyl(xi.rotate(r.u, r.v)).materialize()
-        worst = max(worst, float(np.max(np.abs(that @ w - wr @ that))))
+    worst = battery.module_intertwining(np.random.default_rng(9), 3, 3, trials=20)
     report(9, "module intertwining of lifted implementers with Weyl operators", worst, 1e-9)
 
 

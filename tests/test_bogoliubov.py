@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import superfock.orthogroup as og
+import superfock.selftest as battery
 from superfock import _tables, fock
 from superfock import bogoliubov as bg
 from superfock.errors import ChartError
@@ -19,7 +20,7 @@ from superfock.supermodule import (
     super_pairing,
     ultracoherent,
 )
-from superfock.weyl import weyl
+from superfock.weyl import WeylOperator
 
 from conftest import random_complex
 from oracles import intertwining_residual_dense, quadratic_generator_implementer
@@ -355,13 +356,16 @@ def test_implement_restricted_d1_swap():
 def test_gauge_covariance_exact(rng):
     # T[U S, V conj(S)] = T[U, V] Gamma(S), both charts
     for n in (0, 1, 2):
-        d = 4
-        r = og.random_transform(d, rng, kernel_dim=n)
-        s = og.haar_unitary(d, rng)
-        rs = og.OrthogonalTransform(r.u @ s, r.v @ np.conj(s))
-        lhs = bg.implement_general(r).matrix @ gamma(s)
-        rhs = bg.implement_general(rs).matrix
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
+        assert battery.gauge_covariance_singular_chart(rng, 4, trials=1, kernel_dim=n) < 1e-9
+
+
+@pytest.mark.parametrize("d", range(6))
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_gauge_covariance_every_kernel_dim(d, seed):
+    rng = np.random.default_rng(seed)
+    for n in range(d + 1):
+        assert battery.gauge_covariance_singular_chart(rng, d, trials=1, kernel_dim=n) < 1e-9
 
 
 def test_left_gauge_covariance_invertible(rng):
@@ -405,14 +409,7 @@ def test_module_ansatz_on_coherent_vectors(rng):
 
 
 def test_module_intertwining_with_weyl(rng):
-    g = d = 3
-    for _ in range(5):
-        r = og.random_transform(d, rng)
-        that = bg.module_lift(bg.implement_general(r).matrix, g).materialize()
-        xi = SuperVector(0.8 * random_complex(rng, g, d))
-        w = weyl(xi).materialize()
-        wr = weyl(xi.rotate(r.u, r.v)).materialize()
-        assert np.max(np.abs(that @ w - wr @ that)) < 1e-9
+    assert battery.module_intertwining(rng, 3, 3, trials=5) < 1e-9
 
 
 def test_weyl_then_implementer_closed_form(rng):
@@ -430,7 +427,7 @@ def test_weyl_then_implementer_closed_form(rng):
     for _ in range(5):
         xi = SuperVector(0.7 * random_complex(rng, g, d))
         eta = SuperVector(0.7 * random_complex(rng, g, d))
-        lhs = that @ weyl(xi).materialize() @ coherent(eta).flatten()
+        lhs = that @ WeylOperator(xi).materialize() @ coherent(eta).flatten()
         s = xi + eta
         pref = gexp(
             (-1.0) * super_inner(xi, eta)

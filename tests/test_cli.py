@@ -15,6 +15,8 @@ import superfock.orthogroup as og
 from superfock import bogoliubov as bg
 from superfock import cli
 from superfock.cli import load_transform, main, matrix_from_json, matrix_to_json
+from superfock.errors import _DENSE_BYTES_LIMIT, operator_bytes
+from superfock.selftest import BATTERY, dense_bytes
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -336,6 +338,38 @@ def test_selftest_rejects_bad_counts(capsys, argv):
     assert code == 2 and rep["exit_status"] == 2
     assert "--modes >= 1" in rep["error"]
     assert "checks" not in rep
+
+
+def test_selftest_skips_checks_that_need_two_modes(capsys):
+    code, rep = run(capsys, "selftest", "--modes", "1")
+    assert code == 0
+    skipped = {"weyl_subspace_restriction", "weyl_product_factorization"}
+    assert skipped.isdisjoint(c["name"] for c in rep["checks"])
+    assert any(all(n in w for n in skipped) and "skipped" in w for w in rep["warnings"])
+
+
+def test_selftest_warning_names_every_capped_check(capsys):
+    code, rep = run(capsys, "selftest", "--modes", "7", "--generators", "1")
+    assert code == 0
+    (warning,) = rep["warnings"]
+    named = {inv.__name__ for inv, *_ in BATTERY if inv.__name__ in warning}
+    assert named == {c["name"] for c in rep["checks"]} - {"car_anticommutators"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["implement", "-i", "{f}"], ["compose", "-i", "{f}", "-i", "{f}"], ["selftest"]]
+)
+def test_dense_size_guard_exits_2(capsys, monkeypatch, identity_file, argv):
+    monkeypatch.setattr(cli, "_DENSE_BYTES_LIMIT", 1024)
+    code, rep = run(capsys, *(a.format(f=identity_file) for a in argv))
+    assert code == 2 and rep["exit_status"] == 2
+    assert "GiB limit" in rep["error"]
+    assert "residuals" not in rep and "checks" not in rep
+
+
+def test_dense_size_limit_admits_desk_sizes():
+    assert operator_bytes(max(cli.IMPLEMENT_OPERATORS, cli.COMPOSE_OPERATORS), 11) <= _DENSE_BYTES_LIMIT
+    assert dense_bytes(8, 3) <= _DENSE_BYTES_LIMIT
 
 
 def test_commands_run_without_scipy(tmp_path):

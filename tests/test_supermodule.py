@@ -7,11 +7,13 @@ import pickle
 import numpy as np
 import pytest
 
+import superfock.selftest as battery
 from superfock._tables import left_multiplication, popcounts, reversal_signs
 from superfock.fock import FockVector
 from superfock.gaussian import exp_omega
 from superfock.grassmann import GrassmannElement, gexp, gnorm, gproduct, gstar
 from superfock.orthogroup import random_skew
+from superfock.selftest import random_supervector, random_tensor
 from superfock.supermodule import (
     ModuleTensor,
     RegularOperator,
@@ -34,22 +36,6 @@ from conftest import random_complex
 from oracles import coherent_amplitudes_batch, graded_product_add_at, super_inner_loop
 
 
-def rand_tensor(rng, g, d, parity=None, mode_mask=None):
-    amp = random_complex(rng, 1 << g, 1 << d)
-    if mode_mask is not None:
-        for m in range(1 << d):
-            if m & ~mode_mask:
-                amp[:, m] = 0
-    if parity is not None:
-        tot = popcounts(g)[:, None] + popcounts(d)[None, :]
-        amp = np.where(tot % 2 == parity, amp, 0)
-    return ModuleTensor(g, d, amp)
-
-
-def rand_supervector(rng, g, d, scale=0.8):
-    return SuperVector(scale * random_complex(rng, g, d))
-
-
 def rand_regular(rng, g, d, nterms=3):
     terms = [
         (GrassmannElement(g, random_complex(rng, 1 << g)), random_complex(rng, 1 << d, 1 << d))
@@ -64,7 +50,7 @@ def rand_regular(rng, g, d, nterms=3):
 def test_unit_element():
     g = d = 3
     rng = np.random.default_rng(0)
-    xi = rand_tensor(rng, g, d)
+    xi = random_tensor(rng, g, d)
     unit = ModuleTensor.unit(g, d)
     assert np.max(np.abs(mproduct(unit, xi).amp - xi.amp)) == 0.0
     assert np.max(np.abs(mproduct(xi, unit).amp - xi.amp)) == 0.0
@@ -100,9 +86,9 @@ def test_bidegree_commutation_exhaustive():
 def test_supervector_exchange_is_parity_graded(rng):
     # xi o Theta = (-1)^parity(Theta) Theta o xi for supervectors xi
     g = d = 3
-    xi = rand_supervector(rng, g, d).to_module()
+    xi = random_supervector(rng, g, d).to_module()
     for parity in (0, 1):
-        theta = rand_tensor(rng, g, d, parity=parity)
+        theta = random_tensor(rng, g, d, parity=parity)
         lhs = mproduct(xi, theta).amp
         rhs = ((-1.0) ** parity) * mproduct(theta, xi).amp
         assert np.max(np.abs(lhs - rhs)) < 1e-13
@@ -111,8 +97,8 @@ def test_supervector_exchange_is_parity_graded(rng):
 def test_supervector_product_norm_bound(rng):
     g = d = 3
     for _ in range(30):
-        xi = rand_supervector(rng, g, d)
-        theta = rand_tensor(rng, g, d)
+        xi = random_supervector(rng, g, d)
+        theta = random_tensor(rng, g, d)
         prod = mproduct(xi.to_module(), theta)
         assert prod.norm() <= xi.norm() * theta.norm() * (1 + 1e-12)
 
@@ -126,15 +112,15 @@ def test_homogeneous_product_norm_bound(rng):
     for _ in range(30):
         p = int(rng.integers(0, d + 1))
         q = int(rng.integers(0, d + 1 - p))
-        theta = rand_tensor(rng, g, d).fock_degree(p)
-        xi = rand_tensor(rng, g, d).fock_degree(q)
+        theta = random_tensor(rng, g, d).fock_degree(p)
+        xi = random_tensor(rng, g, d).fock_degree(q)
         bound = np.sqrt(3.0 * comb(p + q, p)) * theta.norm() * xi.norm()
         assert mproduct(theta, xi).norm() <= bound * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("g, d", [(2, 3), (3, 3)])
 def test_module_operations_match_add_at_oracle(g, d, rng):
-    theta, xi = rand_tensor(rng, g, d), rand_tensor(rng, g, d)
+    theta, xi = random_tensor(rng, g, d), random_tensor(rng, g, d)
     lam = GrassmannElement(g, random_complex(rng, 1 << g))
     op1, op2 = rand_regular(rng, g, d), rand_regular(rng, g, d)
     rev = reversal_signs(g)
@@ -176,7 +162,7 @@ def test_lambda_inner_unit():
 def test_lambda_inner_hermiticity_and_bound(rng):
     g = d = 3
     for _ in range(20):
-        a, b = rand_tensor(rng, g, d), rand_tensor(rng, g, d)
+        a, b = random_tensor(rng, g, d), random_tensor(rng, g, d)
         lhs = gstar(lambda_inner(a, b))
         rhs = lambda_inner(b, a)
         assert np.max(np.abs(lhs.amp - rhs.amp)) < 1e-12
@@ -186,43 +172,28 @@ def test_lambda_inner_hermiticity_and_bound(rng):
 def test_lambda_inner_same_parity_is_even(rng):
     g = d = 3
     for parity in (0, 1):
-        a = rand_tensor(rng, g, d, parity=parity)
-        b = rand_tensor(rng, g, d, parity=parity)
+        a = random_tensor(rng, g, d, parity=parity)
+        b = random_tensor(rng, g, d, parity=parity)
         val = lambda_inner(a, b)
         assert np.all(val.amp[popcounts(g) % 2 == 1] == 0)
 
 
 def test_coherent_inner_product_rule(rng):
-    # (exp xi | exp eta) = exp (xi | eta)
-    g = d = 3
-    for _ in range(10):
-        xi, eta = rand_supervector(rng, g, d), rand_supervector(rng, g, d)
-        lhs = lambda_inner(coherent(xi), coherent(eta))
-        rhs = gexp(super_inner(xi, eta))
-        assert np.max(np.abs(lhs.amp - rhs.amp)) < 1e-12
+    assert battery.coherent_inner_product(rng, 3, 3, trials=10) < 1e-12
 
 
 def test_even_product_factorizes_against_coherent(rng):
-    # (exp xi | Theta o Xi) = (exp xi | Theta)(exp xi | Xi), even parity
-    g = d = 3
-    for _ in range(10):
-        xi = rand_supervector(rng, g, d)
-        theta = rand_tensor(rng, g, d, parity=0)
-        zeta = rand_tensor(rng, g, d, parity=0)
-        ce = coherent(xi)
-        lhs = lambda_inner(ce, mproduct(theta, zeta))
-        rhs = gproduct(lambda_inner(ce, theta), lambda_inner(ce, zeta))
-        assert np.max(np.abs(lhs.amp - rhs.amp)) < 1e-11
+    assert battery.coherent_product_factorization(rng, 3, 3, trials=10) < 1e-11
 
 
 def test_factorization_on_orthogonal_mode_subspaces(rng):
     # split modes {0} | {1,2}: (Th1 o Th2 | Xi1 o Xi2) = (Th1|Xi1)(Th2|Xi2)
     g = d = 3
     for parity in (0, 1):
-        th1 = rand_tensor(rng, g, d, parity=parity, mode_mask=0b001)
-        xi1 = rand_tensor(rng, g, d, parity=parity, mode_mask=0b001)
-        th2 = rand_tensor(rng, g, d, mode_mask=0b110)
-        xi2 = rand_tensor(rng, g, d, mode_mask=0b110)
+        th1 = random_tensor(rng, g, d, parity=parity, mode_mask=0b001)
+        xi1 = random_tensor(rng, g, d, parity=parity, mode_mask=0b001)
+        th2 = random_tensor(rng, g, d, mode_mask=0b110)
+        xi2 = random_tensor(rng, g, d, mode_mask=0b110)
         lhs = lambda_inner(mproduct(th1, th2), mproduct(xi1, xi2))
         rhs = gproduct(lambda_inner(th1, xi1), lambda_inner(th2, xi2))
         assert np.max(np.abs(lhs.amp - rhs.amp)) < 1e-11
@@ -230,7 +201,7 @@ def test_factorization_on_orthogonal_mode_subspaces(rng):
 
 def test_super_inner_properties(rng):
     g = d = 3
-    xi, eta = rand_supervector(rng, g, d), rand_supervector(rng, g, d)
+    xi, eta = random_supervector(rng, g, d), random_supervector(rng, g, d)
     ip = super_inner(xi, eta)
     assert np.all(ip.amp[popcounts(g) != 2] == 0)
     # (xi|eta)* = (eta|xi) = -(xi*|eta*)
@@ -242,7 +213,7 @@ def test_super_inner_properties(rng):
 
 def test_super_pairing_symmetric_for_skew(rng):
     g = d = 4
-    xi, eta = rand_supervector(rng, g, d), rand_supervector(rng, g, d)
+    xi, eta = random_supervector(rng, g, d), random_supervector(rng, g, d)
     x = random_skew(d, rng)
     lhs = super_pairing(xi, x, eta)
     rhs = super_pairing(eta, x, xi)
@@ -267,19 +238,19 @@ def test_coherent_small_cases():
 
 def test_coherent_factorization(rng):
     g = d = 3
-    xi, eta = rand_supervector(rng, g, d), rand_supervector(rng, g, d)
+    xi, eta = random_supervector(rng, g, d), random_supervector(rng, g, d)
     lhs = mproduct(coherent(xi), coherent(eta))
     rhs = coherent(xi + eta)
     assert np.max(np.abs(lhs.amp - rhs.amp)) < 1e-12
 
 
 def test_coherent_parity_even(rng):
-    assert coherent(rand_supervector(rng, 3, 3)).parity() == "even"
+    assert coherent(random_supervector(rng, 3, 3)).parity() == "even"
 
 
 def test_coherent_matches_minor_formula(rng):
     g = d = 3
-    coeffs = np.stack([rand_supervector(rng, g, d).coeff for _ in range(10)])
+    coeffs = np.stack([random_supervector(rng, g, d).coeff for _ in range(10)])
     batch = coherent_amplitudes_batch(coeffs)
     for i in range(10):
         lib = coherent(SuperVector(coeffs[i]))
@@ -291,7 +262,7 @@ def test_ultracoherent_cases(rng):
     zero = ultracoherent(np.zeros((d, d)), SuperVector.zero(g, d))
     assert np.array_equal(zero.amp, ModuleTensor.unit(g, d).amp)
     x = random_skew(d, rng)
-    xi = rand_supervector(rng, g, d)
+    xi = random_supervector(rng, g, d)
     psi = ultracoherent(x, xi)
     assert psi.parity() == "even"
     # product in either order, and exp of the combined exponent
@@ -304,7 +275,7 @@ def test_coherent_vs_ultracoherent_pairing(rng):
     g = d = 3
     for _ in range(10):
         x = random_skew(d, rng)
-        xi, eta = rand_supervector(rng, g, d), rand_supervector(rng, g, d)
+        xi, eta = random_supervector(rng, g, d), random_supervector(rng, g, d)
         lhs = lambda_inner(coherent(xi), ultracoherent(x, eta))
         rhs = gexp(super_inner(xi, eta + 0.5 * xi.star().apply(x)))
         assert np.max(np.abs(lhs.amp - rhs.amp)) < 1e-11
@@ -315,7 +286,7 @@ def test_ultracoherent_self_pairing(rng):
     g = d = 3
     for _ in range(5):
         x = random_skew(d, rng)
-        xi = rand_supervector(rng, g, d)
+        xi = random_supervector(rng, g, d)
         a_op = x @ np.linalg.inv(np.eye(d) + x.conj().T @ x)
         b_op = np.linalg.inv(np.eye(d) + x @ x.conj().T)
         psi = ultracoherent(x, xi)
@@ -335,11 +306,11 @@ def test_ultracoherent_self_pairing(rng):
 
 def test_b_plus_minus_on_unit_and_coherent(rng):
     g = d = 3
-    eta = rand_supervector(rng, g, d)
+    eta = random_supervector(rng, g, d)
     unit = ModuleTensor.unit(g, d)
     assert np.max(np.abs(b_plus(eta).apply(unit).amp - eta.to_module().amp)) < 1e-14
     assert b_minus(eta).apply(unit).norm() < 1e-14
-    xi = rand_supervector(rng, g, d)
+    xi = random_supervector(rng, g, d)
     ce = coherent(xi)
     lhs = b_minus(eta).apply(ce)
     rhs = gmul(super_inner(eta, xi), ce)
@@ -352,8 +323,8 @@ def test_b_plus_minus_on_unit_and_coherent(rng):
 def test_b_operators_norm_bound(rng):
     g = d = 3
     for _ in range(10):
-        eta = rand_supervector(rng, g, d)
-        xi = rand_tensor(rng, g, d)
+        eta = random_supervector(rng, g, d)
+        xi = random_tensor(rng, g, d)
         assert b_plus(eta).apply(xi).norm() <= eta.norm() * xi.norm() * (1 + 1e-12)
         assert b_minus(eta).apply(xi).norm() <= eta.norm() * xi.norm() * (1 + 1e-12)
 
@@ -377,7 +348,7 @@ def test_superadjoint_pairing_identity(rng):
     g = d = 3
     for _ in range(10):
         op = rand_regular(rng, g, d)
-        a, b = rand_tensor(rng, g, d), rand_tensor(rng, g, d)
+        a, b = random_tensor(rng, g, d), random_tensor(rng, g, d)
         lhs = lambda_inner(a, op.apply(b))
         rhs = lambda_inner(op.superadjoint().apply(a), b)
         assert np.max(np.abs(lhs.amp - rhs.amp)) < 1e-11
@@ -388,7 +359,7 @@ def test_materialize_matches_apply(rng):
     op = rand_regular(rng, g, d)
     mat = op.materialize()
     for _ in range(5):
-        xi = rand_tensor(rng, g, d)
+        xi = random_tensor(rng, g, d)
         assert np.max(np.abs(mat @ xi.flatten() - op.apply(xi).flatten())) < 1e-12
     # independent oracle: sum_j L(mu_j) (x) T_j over the unreduced terms
     g = 3
@@ -410,7 +381,7 @@ def test_compose_and_lift(rng):
     assert np.max(np.abs(lhs - rhs)) < 1e-11
     t = random_complex(rng, 1 << d, 1 << d)
     lifted = regular_from_fock(g, t)
-    xi = rand_tensor(rng, g, d)
+    xi = random_tensor(rng, g, d)
     assert np.max(np.abs(lifted.apply(xi).amp - xi.amp @ t.T)) < 1e-13
 
 
@@ -419,7 +390,7 @@ def test_compose_and_lift(rng):
 
 def test_weighted_norm_family(rng):
     g = d = 3
-    xi = rand_tensor(rng, g, d)
+    xi = random_tensor(rng, g, d)
     assert abs(weighted_norm(xi, 0.0) - xi.norm()) < 1e-13
     assert weighted_norm(xi, 0.5) <= weighted_norm(xi, 1.0) + 1e-13
     assert weighted_norm(xi, 1.0) <= weighted_norm(xi, 2.0) + 1e-13
@@ -524,8 +495,8 @@ def test_fock_factor_reconstructed_from_coherent_values(rng):
 VALUE_CLASSES = {
     "FockVector": lambda rng: FockVector(2, random_complex(rng, 4)),
     "GrassmannElement": lambda rng: GrassmannElement(2, random_complex(rng, 4)),
-    "ModuleTensor": lambda rng: rand_tensor(rng, 2, 2),
-    "SuperVector": lambda rng: rand_supervector(rng, 2, 2),
+    "ModuleTensor": lambda rng: random_tensor(rng, 2, 2),
+    "SuperVector": lambda rng: random_supervector(rng, 2, 2),
     "RegularOperator": lambda rng: rand_regular(rng, 2, 2),
 }
 ROUND_TRIPS = {
